@@ -22,7 +22,7 @@
 // against a running server and reports throughput and latency.
 //
 // serve -shards N spawns N shard servers on loopback listeners (sharing
-// one decoded catalog, or one managed store) and fronts them with a
+// one store) and fronts them with a
 // coordinator on -addr: queries hash-partition over the pointer-ID space,
 // answers dedup through an answer cache plus singleflight, and the reply
 // is byte-identical to a single-process server at the same generation.
@@ -31,10 +31,12 @@
 // -tenants and -zipf for a skewed multi-tenant stream, and -min-hit-ratio
 // to gate on the answer cache actually absorbing the repeats.
 //
-// With -store-dir, -mem-budget, or -reload-interval, serve routes backends
-// through the managed index store (see internal/store): .pes files decode
-// lazily on first query, cold indexes are evicted to stay under the memory
-// budget, and rewritten files are hot-swapped in without a restart.
+// Every backend resolves through one index store (see internal/store).
+// Plain -in files are decoded at startup and pinned there. With
+// -store-dir, -mem-budget, or -reload-interval they are catalogued by path
+// instead: .pes files decode lazily on first query, cold indexes are
+// evicted to stay under the memory budget, and rewritten files are
+// hot-swapped in without a restart.
 // -pprof mounts net/http/pprof for profiling the eviction hot path.
 //
 // encode -v2 writes the zero-copy PES2 format: info, query, and serve
@@ -149,57 +151,6 @@ func parseInSpec(spec string) ([]store.Spec, error) {
 	return out, nil
 }
 
-// newQueryServer builds an eager server from the -in specification: every
-// entry is decoded at startup and held resident. Load and registration
-// failures name the offending entry, so a broken path in a multi-backend
-// spec is attributable.
-func newQueryServer(spec string, opts server.Options) (*server.Server, error) {
-	specs, err := parseInSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	s := server.New(opts)
-	for _, sp := range specs {
-		idx, err := pestrie.LoadFile(sp.Path)
-		if err != nil {
-			return nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-		}
-		if err := s.AddIndex(sp.Name, idx); err != nil {
-			return nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-		}
-	}
-	return s, nil
-}
-
-// newStoreServer builds a store-backed server: -in entries and -store-dir
-// files are catalogued but not decoded; the store loads them lazily on
-// first query, evicts under memBudget, and hot-swaps rewritten files every
-// reload interval.
-func newStoreServer(spec, dir string, opts server.Options, sopts store.Options) (*server.Server, *store.Store, error) {
-	st := store.New(sopts)
-	if spec != "" {
-		specs, err := parseInSpec(spec)
-		if err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-		for _, sp := range specs {
-			if err := st.Add(sp.Name, sp.Path); err != nil {
-				st.Close()
-				return nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-			}
-		}
-	}
-	if dir != "" {
-		if _, err := st.AddDir(dir); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-	}
-	opts.Store = st
-	return server.New(opts), st, nil
-}
-
 // shardTier is an in-process shard fleet: n servers on loopback listeners
 // fronted by one Coordinator. serve -shards and bench-serve -shards both
 // build one; coordinate fronts external shards instead.
@@ -246,60 +197,48 @@ func startShards(servers []*server.Server, copts server.CoordOptions) (*shardTie
 	return t, nil
 }
 
-// buildServers constructs n identical servers over one shared catalog:
-// eager -in files are decoded once and registered into every server
-// (core.Index is immutable, so shards share it safely); store mode shares
-// one managed store, so lazy loads, eviction, and hot swaps happen once
-// for the whole tier. cleanup releases the shared store, if any.
-func buildServers(n int, in, dir string, opts server.Options, sopts store.Options, useStore bool) ([]*server.Server, *store.Store, func(), error) {
-	if useStore {
-		st := store.New(sopts)
-		if in != "" {
-			specs, err := parseInSpec(in)
-			if err != nil {
-				st.Close()
-				return nil, nil, nil, err
+// buildServers constructs n identical servers over one shared store. With
+// lazy set, specs and dir files are catalogued by path and decode on
+// first query, under the store's budget and hot-swap; otherwise every
+// spec is decoded now (each distinct path once) and registered as a
+// pinned entry. Either way lazy loads, eviction and swaps happen once for
+// the whole tier, and core.Index is immutable, so shards share it safely.
+// Failures name the offending name=path entry. The caller closes the
+// returned store.
+func buildServers(n int, specs []store.Spec, dir string, opts server.Options, sopts store.Options, lazy bool) ([]*server.Server, *store.Store, error) {
+	st := store.New(sopts)
+	decoded := map[string]*core.Index{}
+	for _, sp := range specs {
+		var err error
+		if lazy {
+			err = st.Add(sp.Name, sp.Path)
+		} else {
+			ix := decoded[sp.Path]
+			if ix == nil {
+				ix, err = pestrie.LoadFile(sp.Path)
+				decoded[sp.Path] = ix
 			}
-			for _, sp := range specs {
-				if err := st.Add(sp.Name, sp.Path); err != nil {
-					st.Close()
-					return nil, nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-				}
-			}
-		}
-		if dir != "" {
-			if _, err := st.AddDir(dir); err != nil {
-				st.Close()
-				return nil, nil, nil, err
+			if err == nil {
+				err = st.AddIndex(sp.Name, ix)
 			}
 		}
-		opts.Store = st
-		servers := make([]*server.Server, n)
-		for i := range servers {
-			servers[i] = server.New(opts)
+		if err != nil {
+			st.Close()
+			return nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
 		}
-		return servers, st, func() { st.Close() }, nil
 	}
-	specs, err := parseInSpec(in)
-	if err != nil {
-		return nil, nil, nil, err
+	if dir != "" {
+		if _, err := st.AddDir(dir); err != nil {
+			st.Close()
+			return nil, nil, err
+		}
 	}
+	opts.Store = st
 	servers := make([]*server.Server, n)
 	for i := range servers {
 		servers[i] = server.New(opts)
 	}
-	for _, sp := range specs {
-		idx, err := pestrie.LoadFile(sp.Path)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-		}
-		for _, s := range servers {
-			if err := s.AddIndex(sp.Name, idx); err != nil {
-				return nil, nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-			}
-		}
-	}
-	return servers, nil, func() {}, nil
+	return servers, st, nil
 }
 
 // serveLoop runs listenAndServe until it returns or SIGINT/SIGTERM, then
@@ -369,11 +308,18 @@ func serve(args []string) error {
 	if n == 0 {
 		n = 1
 	}
-	servers, st, cleanup, err := buildServers(n, *in, *storeDir, opts, sopts, useStore)
+	var specs []store.Spec
+	if *in != "" {
+		var err error
+		if specs, err = parseInSpec(*in); err != nil {
+			return err
+		}
+	}
+	servers, st, err := buildServers(n, specs, *storeDir, opts, sopts, useStore)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer st.Close()
 	if useStore {
 		names := st.Names()
 		fmt.Printf("store: %d catalogued backends (budget %s, reload %s): %s\n",
@@ -536,22 +482,22 @@ func benchServe(args []string) error {
 	}
 	target := strings.TrimSuffix(*addr, "/")
 	if *shards > 0 {
-		// Self-contained tier: N loopback shard servers all serving the
-		// already-decoded index (under every tenant name), fronted by a
-		// coordinator on another loopback listener.
-		servers := make([]*server.Server, *shards)
+		// Self-contained tier: N loopback shard servers all serving -in
+		// (under every tenant name), fronted by a coordinator on another
+		// loopback listener.
 		names := backends
 		if len(names) == 0 {
 			names = []string{"default"}
 		}
-		for i := range servers {
-			servers[i] = server.New(server.Options{})
-			for _, name := range names {
-				if err := servers[i].AddIndex(name, idx); err != nil {
-					return err
-				}
-			}
+		var specs []store.Spec
+		for _, name := range names {
+			specs = append(specs, store.Spec{Name: name, Path: *in})
 		}
+		servers, st, err := buildServers(*shards, specs, "", server.Options{}, store.Options{}, false)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
 		tier, err := startShards(servers, server.CoordOptions{})
 		if err != nil {
 			return err
@@ -618,10 +564,10 @@ func benchServe(args []string) error {
 				cstats.Cache.HitRatio, *minHitRatio)
 		}
 	}
-	// Store-backed servers also expose refresh economics: how many times
-	// each backend was fully decoded vs advanced by applying delta
-	// segments, and what each path cost. Absence of the endpoint (an eager
-	// -in server) is not an error.
+	// Servers also expose refresh economics: how many times each
+	// file-backed backend was fully decoded vs advanced by applying delta
+	// segments, and what each path cost. Pinned (eager -in) backends never
+	// load or refresh, so they have no line; a coordinator has no endpoint.
 	stats, err := server.FetchStoreStats(context.Background(), target)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pestrie: store stats unavailable: %v\n", err)
@@ -631,7 +577,7 @@ func benchServe(args []string) error {
 		return nil
 	}
 	for _, e := range stats.Backends {
-		if *backend != "" && e.Name != *backend {
+		if e.Static || (*backend != "" && e.Name != *backend) {
 			continue
 		}
 		line := fmt.Sprintf("store %s: generation stamp %d, chain %d, loads=%d (p50=%s)",

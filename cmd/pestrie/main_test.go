@@ -195,6 +195,22 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// eagerServer builds the single server `serve -in spec` starts: every
+// entry decoded up front and pinned in the server's store.
+func eagerServer(t *testing.T, spec string) (*server.Server, error) {
+	t.Helper()
+	specs, err := parseInSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	servers, st, err := buildServers(1, specs, "", server.Options{}, store.Options{}, false)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(st.Close)
+	return servers[0], nil
+}
+
 // TestServeAndBenchServe runs the full serve workflow end to end: encode a
 // matrix, build the server from the -in spec, drive it over a real HTTP
 // listener with the bench-serve subcommand, and hit the single-query and
@@ -207,9 +223,9 @@ func TestServeAndBenchServe(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 
-	s, err := newQueryServer(pes, server.Options{})
+	s, err := eagerServer(t, pes)
 	if err != nil {
-		t.Fatalf("newQueryServer: %v", err)
+		t.Fatalf("eagerServer: %v", err)
 	}
 	bs := s.Backends()
 	if len(bs) != 1 || bs[0].Name != "default" {
@@ -253,9 +269,9 @@ func TestServeMultipleNamedBackends(t *testing.T) {
 			t.Fatalf("encode: %v", err)
 		}
 	}
-	s, err := newQueryServer("lib="+lib+","+app, server.Options{})
+	s, err := eagerServer(t, "lib="+lib+","+app)
 	if err != nil {
-		t.Fatalf("newQueryServer: %v", err)
+		t.Fatalf("eagerServer: %v", err)
 	}
 	names := []string{}
 	for _, b := range s.Backends() {
@@ -277,7 +293,7 @@ func TestServeSpecErrorNamesEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(dir, "missing.pes")
-	_, err := newQueryServer("lib="+good+",app="+missing, server.Options{})
+	_, err := eagerServer(t, "lib="+good+",app="+missing)
 	if err == nil {
 		t.Fatal("spec with missing file accepted")
 	}
@@ -285,7 +301,7 @@ func TestServeSpecErrorNamesEntry(t *testing.T) {
 		t.Fatalf("error %q does not name the offending entry app=%s", err, missing)
 	}
 	// Duplicate names are attributed the same way.
-	_, err = newQueryServer("x="+good+",x="+good, server.Options{})
+	_, err = eagerServer(t, "x="+good+",x="+good)
 	if err == nil || !strings.Contains(err.Error(), "x="+good) {
 		t.Fatalf("duplicate-name error %q does not name the entry", err)
 	}
@@ -306,11 +322,12 @@ func TestStoreServe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, st, err := newStoreServer("", pesDir, server.Options{}, store.Options{MemBudget: 1 << 20})
+	servers, st, err := buildServers(1, nil, pesDir, server.Options{}, store.Options{MemBudget: 1 << 20}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	s := servers[0]
 	names := st.Names()
 	if len(names) != 2 || names[0] != "app" || names[1] != "lib" {
 		t.Fatalf("catalog = %v, want [app lib]", names)
@@ -342,7 +359,11 @@ func TestStoreServe(t *testing.T) {
 
 	// -in specs also feed the store catalog, with the same entry-naming
 	// error contract as the eager path.
-	_, _, err = newStoreServer("x=nope,x=nope", "", server.Options{}, store.Options{})
+	specs, err := parseInSpec("x=nope,x=nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = buildServers(1, specs, "", server.Options{}, store.Options{}, true)
 	if err == nil || !strings.Contains(err.Error(), "x=nope") {
 		t.Fatalf("store spec error %q does not name the entry", err)
 	}
@@ -374,11 +395,15 @@ func TestShardedTierEndToEnd(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 
-	servers, _, cleanup, err := buildServers(3, pes, "", server.Options{}, store.Options{}, false)
+	specs, err := parseInSpec(pes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
+	servers, st, err := buildServers(3, specs, "", server.Options{}, store.Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	tier, err := startShards(servers, server.CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +412,7 @@ func TestShardedTierEndToEnd(t *testing.T) {
 	cts := httptest.NewServer(tier.coord.Handler())
 	defer cts.Close()
 
-	single, err := newQueryServer(pes, server.Options{})
+	single, err := eagerServer(t, pes)
 	if err != nil {
 		t.Fatal(err)
 	}

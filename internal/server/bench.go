@@ -261,30 +261,10 @@ func RunBench(ctx context.Context, opts BenchOptions) (*BenchReport, error) {
 // FetchStoreStats retrieves the /debug/store snapshot from a running
 // server: per-backend generation stamps, delta-chain lengths, and the
 // full-load vs delta-apply latency split. It returns (nil, nil) when the
-// server has no managed store — eager -in deployments answer 404 there —
-// so callers can report store state opportunistically after a bench run.
+// target answers 404 there (a coordinator), so callers can report store
+// state opportunistically after a bench run.
 func FetchStoreStats(ctx context.Context, baseURL string) (*store.Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/debug/store", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	var out store.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetchJSON[store.Stats](ctx, http.DefaultClient, baseURL+"/debug/store", nil, true)
 }
 
 // FetchCoordStats retrieves the /debug/coord snapshot from a running
@@ -292,45 +272,42 @@ func FetchStoreStats(ctx context.Context, baseURL string) (*store.Stats, error) 
 // returns (nil, nil) when the target is a plain single-process server —
 // those answer 404 there — so callers can report opportunistically.
 func FetchCoordStats(ctx context.Context, baseURL string) (*CoordStats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/debug/coord", nil)
+	return fetchJSON[CoordStats](ctx, http.DefaultClient, baseURL+"/debug/coord", nil, true)
+}
+
+func send(ctx context.Context, client *http.Client, url string, body []byte) (*BatchResponse, error) {
+	return fetchJSON[BatchResponse](ctx, client, url, body, false)
+}
+
+// fetchJSON sends one request — a GET, or a JSON POST of body when it is
+// non-nil — and decodes a 200 reply as T. Any other status is an error
+// quoting the head of the reply, except a 404 when missingOK is set,
+// which yields (nil, nil).
+func fetchJSON[T any](ctx context.Context, client *http.Client, url string, body []byte, missingOK bool) (*T, error) {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	if missingOK && resp.StatusCode == http.StatusNotFound {
 		return nil, nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	var out CoordStats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-func send(ctx context.Context, client *http.Client, url string, body []byte) (*BatchResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	var out BatchResponse
+	var out T
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err
 	}

@@ -23,20 +23,19 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pestrie/internal/flight"
 	"pestrie/internal/perf"
 )
 
@@ -70,8 +69,8 @@ type CoordOptions struct {
 	// disables caching (singleflight still dedups).
 	CacheBytes int64
 
-	// MaxBatch caps the queries accepted in one batch request. Zero
-	// selects 65536.
+	// MaxBatch caps the queries accepted in one batch request; request
+	// bodies are capped in proportion. Zero selects 65536.
 	MaxBatch int
 
 	// GenTTL is how stale a backend's generation watermark may get before
@@ -120,10 +119,11 @@ type genWatermark struct {
 
 // Coordinator fans pointer queries out over a shard tier.
 type Coordinator struct {
+	*surface
 	opts   CoordOptions
 	client *http.Client
 	cache  *answerCache
-	flight *flightGroup
+	flight flight.Group[shardAnswer]
 	shards []*shardState
 	start  time.Time
 
@@ -131,9 +131,16 @@ type Coordinator struct {
 	gens  map[string]*genWatermark
 
 	batchDedup atomic.Int64 // queries collapsed onto an in-batch duplicate
+	// flightWaits counts queries answered by joining another request's
+	// flight — the second deduplication level.
+	flightWaits atomic.Int64
+}
 
-	httpMu sync.Mutex
-	httpS  *http.Server
+// shardAnswer is the outcome of one flight: a shard's answer to a query
+// and the version tag it was computed at ("" on failure).
+type shardAnswer struct {
+	res Result
+	gen string
 }
 
 // NewCoordinator returns a Coordinator fronting the given shard tier.
@@ -153,11 +160,11 @@ func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		cache:  newAnswerCache(opts.CacheBytes),
-		flight: newFlightGroup(),
-		start:  time.Now(),
-		gens:   make(map[string]*genWatermark),
+		cache: newAnswerCache(opts.CacheBytes),
+		start: time.Now(),
+		gens:  make(map[string]*genWatermark),
 	}
+	c.surface = newSurface(c, c.routes, opts.RequestTimeout, opts.MaxBatch)
 	for _, u := range opts.Shards {
 		c.shards = append(c.shards, &shardState{url: strings.TrimSuffix(u, "/")})
 	}
@@ -242,20 +249,8 @@ func (c *Coordinator) probeGeneration(backend string) {
 	sh := c.shards[c.shardOf(backend, Query{})]
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ShardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/generations", nil)
+	gr, err := fetchJSON[GenerationsResponse](ctx, c.client, sh.url+"/generations", nil, false)
 	if err != nil {
-		return
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	var gr GenerationsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&gr); err != nil {
 		return
 	}
 	if tag, ok := gr.Generations[backend]; ok {
@@ -269,14 +264,15 @@ type pending struct {
 	q       Query
 	key     string
 	indices []int
-	f       *flight
+	f       *flight.Call[shardAnswer]
 	owner   bool
 }
 
-// answerBatch answers queries for backend, in order. It returns the
-// results, the version tag they correspond to ("" when sources disagree,
-// e.g. mid-swap), and the shards that failed.
-func (c *Coordinator) answerBatch(ctx context.Context, backend string, queries []Query) ([]Result, string, []ShardError) {
+// answer answers queries for backend, in order. The response carries the
+// version tag the results correspond to ("" when sources disagree, e.g.
+// mid-swap) and the shards that failed. Shard failures never fail the
+// whole request, so the error is always nil.
+func (c *Coordinator) answer(ctx context.Context, backend string, queries []Query, _ bool) (BatchResponse, error) {
 	gen := c.generationTag(backend)
 	results := make([]Result, len(queries))
 
@@ -316,12 +312,12 @@ func (c *Coordinator) answerBatch(ctx context.Context, backend string, queries [
 	// Level 2 (singleflight), then partition the owned misses shard-wise.
 	buckets := make([][]*pending, len(c.shards))
 	for _, p := range order {
-		p.f, p.owner = c.flight.begin(p.key)
+		p.f, p.owner = c.flight.Begin(p.key)
 		if p.owner {
 			si := c.shardOf(backend, p.q)
 			buckets[si] = append(buckets[si], p)
 		} else {
-			c.flight.waits.Add(int64(len(p.indices)))
+			c.flightWaits.Add(int64(len(p.indices)))
 		}
 	}
 
@@ -360,7 +356,7 @@ func (c *Coordinator) answerBatch(ctx context.Context, backend string, queries [
 				sh.errors.Add(1)
 				res := Result{Err: fmt.Sprintf("shard %d (%s): %v", si, sh.url, err)}
 				for _, p := range ps {
-					c.flight.finish(p.key, p.f, res, "")
+					c.flight.Finish(p.key, p.f, shardAnswer{res: res})
 				}
 				partialMu.Lock()
 				partial = append(partial, ShardError{Shard: si, URL: sh.url, Queries: len(qs), Err: err.Error()})
@@ -370,7 +366,7 @@ func (c *Coordinator) answerBatch(ctx context.Context, backend string, queries [
 			c.observeGeneration(backend, resp.Generation)
 			for j, p := range ps {
 				r := resp.Results[j]
-				c.flight.finish(p.key, p.f, r, resp.Generation)
+				c.flight.Finish(p.key, p.f, shardAnswer{res: r, gen: resp.Generation})
 				if r.Err == "" && resp.Generation != "" {
 					// Cache under the tag the answer actually came from —
 					// which is the watermark key future lookups compute
@@ -385,78 +381,28 @@ func (c *Coordinator) answerBatch(ctx context.Context, backend string, queries [
 	// Merge: owned flights resolved above; waiter flights belong to other
 	// in-progress requests, bounded by our own deadline.
 	for _, p := range order {
-		var r Result
-		var tag string
-		if p.owner {
-			r, tag = p.f.res, p.f.gen
-		} else {
-			select {
-			case <-p.f.done:
-				r, tag = p.f.res, p.f.gen
-			case <-ctx.Done():
-				r = Result{Err: fmt.Sprintf("server: waiting on in-flight duplicate: %v", ctx.Err())}
-			}
+		a, err := p.f.Wait(ctx)
+		if err != nil {
+			a.res = Result{Err: fmt.Sprintf("server: waiting on in-flight duplicate: %v", err)}
 		}
-		observe(tag)
+		observe(a.gen)
 		for _, i := range p.indices {
-			results[i] = r
+			results[i] = a.res
 		}
 	}
 	if conflict {
 		agreed = ""
 	}
-	return results, agreed, partial
+	return BatchResponse{Results: results, Generation: agreed, Partial: partial}, nil
 }
 
-// Handler returns the coordinator's HTTP handler: the same /query and
-// /batch surface as a single server, plus /debug/coord.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", c.handleQuery)
-	mux.HandleFunc("POST /batch", c.handleBatch)
+// routes mounts the coordinator's own endpoints next to the shared
+// surface: the proxied catalog listing and /debug/coord.
+func (c *Coordinator) routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /backends", c.handleBackends)
-	mux.HandleFunc("GET /debug/coord", c.handleCoord)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	mux.HandleFunc("GET /debug/coord", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, c.Stats())
 	})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), c.opts.RequestTimeout)
-		defer cancel()
-		mux.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	results, _, partial := c.answerBatch(r.Context(), req.Backend, []Query{req.Query})
-	res := results[0]
-	switch {
-	case len(partial) > 0:
-		writeJSON(w, http.StatusBadGateway, res)
-	case res.Err != "":
-		writeJSON(w, http.StatusBadRequest, res)
-	default:
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if len(req.Queries) > c.opts.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch of %d exceeds limit %d", len(req.Queries), c.opts.MaxBatch))
-		return
-	}
-	results, gen, partial := c.answerBatch(r.Context(), req.Backend, req.Queries)
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Generation: gen, Partial: partial})
 }
 
 // handleBackends proxies the catalog listing from the first healthy shard
@@ -464,27 +410,12 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleBackends(w http.ResponseWriter, r *http.Request) {
 	var lastErr error
 	for _, sh := range c.shards {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, sh.url+"/backends", nil)
-		if err != nil {
-			lastErr = err
-			continue
+		bs, err := fetchJSON[map[string][]BackendInfo](r.Context(), c.client, sh.url+"/backends", nil, false)
+		if err == nil {
+			writeJSON(w, http.StatusOK, bs)
+			return
 		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		w.Write(bytes.TrimSpace(body))
-		w.Write([]byte("\n"))
-		return
+		lastErr = err
 	}
 	writeError(w, http.StatusBadGateway, fmt.Errorf("server: no shard reachable: %v", lastErr))
 }
@@ -510,17 +441,13 @@ type CoordStats struct {
 	Generations       map[string]string `json:"generations,omitempty"`
 }
 
-func (c *Coordinator) handleCoord(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats())
-}
-
 // Stats snapshots the coordinator's counters.
 func (c *Coordinator) Stats() CoordStats {
 	out := CoordStats{
 		UptimeMS:          time.Since(c.start).Milliseconds(),
 		Cache:             c.cache.stats(),
 		BatchDedup:        c.batchDedup.Load(),
-		SingleflightWaits: c.flight.waits.Load(),
+		SingleflightWaits: c.flightWaits.Load(),
 	}
 	for _, sh := range c.shards {
 		out.Shards = append(out.Shards, ShardStats{
@@ -540,36 +467,4 @@ func (c *Coordinator) Stats() CoordStats {
 	}
 	c.genMu.Unlock()
 	return out
-}
-
-// Serve accepts connections on l until Shutdown, mirroring Server.Serve.
-func (c *Coordinator) Serve(l net.Listener) error {
-	hs := &http.Server{
-		Handler:           c.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	c.httpMu.Lock()
-	c.httpS = hs
-	c.httpMu.Unlock()
-	return hs.Serve(l)
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (c *Coordinator) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return c.Serve(l)
-}
-
-// Shutdown gracefully stops the coordinator.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.httpMu.Lock()
-	hs := c.httpS
-	c.httpMu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
 }

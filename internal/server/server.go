@@ -8,18 +8,25 @@
 //	POST /query        one Table-1 query  {"backend","op","p","q","o"}
 //	POST /batch        many queries       {"backend","queries":[...]}, answered by a worker pool
 //	GET  /backends     catalogued indexes and their dimensions
+//	GET  /generations  version tag of every loaded backend
 //	GET  /debug/stats  per-backend/per-op counters and latency histograms
 //	GET  /debug/store  store lifecycle state (budget, evictions, generations)
 //	GET  /healthz      liveness probe
 //
-// Backends come from two places: indexes registered eagerly with AddIndex
-// (decoded once, resident forever), and — when Options.Store is set — a
-// managed internal/store catalog, where indexes decode lazily on first
-// query and live in a memory-budgeted LRU. A store-backed request pins its
-// generation for the request's whole duration, so eviction and hot-swap
-// never free or tear an index mid-query.
+// Every backend resolves through one internal/store catalog: the store
+// passed in Options.Store, or a private one. Indexes registered with
+// AddIndex are pinned entries of that catalog (resident, never evicted);
+// files are catalogued by path and decode lazily on first query into a
+// memory-budgeted LRU. Each request pins its generation for its whole
+// duration, so eviction and hot-swap never free or tear an index
+// mid-query.
 //
-// Answers are produced by calling the underlying *core.Index directly and
+// A Coordinator (coord.go) fronts a tier of such servers. Both answer
+// through the same HTTP surface (http.go): the /query, /batch and
+// /healthz handlers, the deadline, the body and batch limits, and the
+// listener lifecycle exist once.
+//
+// Answers are produced by calling the underlying index directly and
 // marshaling its return value verbatim, so a server response is
 // byte-identical to what an in-process caller would encode. The Index is
 // immutable after Load, which is what makes the whole service a pile of
@@ -29,13 +36,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,13 +63,14 @@ type Options struct {
 	// Zero selects GOMAXPROCS.
 	BatchWorkers int
 
-	// MaxBatch caps the queries accepted in one batch request. Zero
-	// selects 65536.
+	// MaxBatch caps the queries accepted in one batch request; request
+	// bodies are capped in proportion. Zero selects 65536.
 	MaxBatch int
 
-	// Store, when non-nil, resolves backends not registered with
-	// AddIndex through a managed index store: lazy decode on first
-	// query, LRU eviction under a memory budget, checksum hot-swap.
+	// Store is the catalog every backend resolves through: lazy decode on
+	// first query, LRU eviction under a memory budget, checksum hot-swap,
+	// plus the pinned indexes registered with AddIndex. Nil selects a
+	// private store with no budget.
 	Store *store.Store
 
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by
@@ -83,45 +88,26 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1 << 16
 	}
+	if o.Store == nil {
+		o.Store = store.New(store.Options{})
+	}
 	return o
 }
 
-// Server answers pointer queries over one or more named indexes.
+// Server answers pointer queries over the backends of one store.
 type Server struct {
+	*surface
 	opts  Options
 	start time.Time
 
-	mu       sync.RWMutex // guards backends registration; reads on hot path
-	backends map[string]*backend
-
-	httpMu sync.Mutex
-	httpS  *http.Server
+	mu    sync.RWMutex // guards stats registration; reads on hot path
+	stats map[string]*backend
 }
 
+// backend holds one backend's counters: one entry per op plus "batch",
+// fixed at creation so the hot path is atomics only.
 type backend struct {
-	name string
-	ix   *core.Index // static index; nil for store-resolved backends
-	tag  string      // version tag of the static index; "" for store shells
-	// stats has one entry per op plus "batch"; fixed at registration so
-	// the hot path is atomics only.
 	stats map[string]*opStats
-}
-
-func newBackend(name string, ix *core.Index) *backend {
-	b := &backend{name: name, ix: ix, stats: make(map[string]*opStats)}
-	for _, op := range append(append([]string(nil), Ops...), "batch") {
-		b.stats[op] = &opStats{}
-	}
-	return b
-}
-
-// staticTag is the version tag of an eagerly-registered index. Static
-// indexes never change within a process, so the tag only needs to be
-// deterministic across processes serving the same file — the structural
-// dimensions are a cheap content signature for that (a coordinator caching
-// on it compares tags from different shard processes).
-func staticTag(ix *core.Index) string {
-	return fmt.Sprintf("s:%d.%d.%d.%d", ix.NumPointers, ix.NumObjects, ix.NumGroups, ix.Rectangles())
 }
 
 type opStats struct {
@@ -131,115 +117,86 @@ type opStats struct {
 	lat      perf.Histogram
 }
 
-// New returns an empty Server; register indexes with AddIndex.
+// New returns a Server over opts.Store; register in-memory indexes with
+// AddIndex.
 func New(opts Options) *Server {
-	return &Server{
-		opts:     opts.withDefaults(),
-		start:    time.Now(),
-		backends: make(map[string]*backend),
+	s := &Server{
+		opts:  opts.withDefaults(),
+		start: time.Now(),
+		stats: make(map[string]*backend),
 	}
+	s.surface = newSurface(s, s.routes, s.opts.RequestTimeout, s.opts.MaxBatch)
+	return s
 }
 
-// AddIndex registers a loaded index under name. Registration is expected
-// before serving; duplicate or empty names are errors.
-func (s *Server) AddIndex(name string, ix *core.Index) error {
-	if name == "" {
-		return errors.New("server: empty backend name")
-	}
-	if ix == nil {
-		return errors.New("server: nil index")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, dup := s.backends[name]; dup && b.ix != nil {
-		return fmt.Errorf("server: duplicate backend %q", name)
-	} else if dup {
-		// A stats-only shell created for a store backend of the same
-		// name: adopt it so its counters survive, static index wins.
-		b.ix = ix
-		b.tag = staticTag(ix)
-		return nil
-	}
-	b := newBackend(name, ix)
-	b.tag = staticTag(ix)
-	s.backends[name] = b
-	return nil
-}
+// AddIndex registers a loaded index under name as a pinned entry of the
+// server's store. An empty name, or one already registered other than by
+// a directory scan (which the pinned index then shadows), is an error.
+func (s *Server) AddIndex(name string, ix *core.Index) error { return s.opts.Store.AddIndex(name, ix) }
 
-// names lists every resolvable backend name: static indexes plus the
-// store catalog.
-func (s *Server) names() []string {
-	set := map[string]bool{}
-	s.mu.RLock()
-	for name, b := range s.backends {
-		if b.ix != nil {
-			set[name] = true
-		}
-	}
-	s.mu.RUnlock()
-	if s.opts.Store != nil {
-		for _, name := range s.opts.Store.Names() {
-			set[name] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	return out
-}
-
-// statsFor returns the stats holder for name, creating a shell for
-// store-resolved backends on first touch.
+// statsFor returns the counters for name, creating them on first touch.
 func (s *Server) statsFor(name string) *backend {
 	s.mu.RLock()
-	b, ok := s.backends[name]
+	b, ok := s.stats[name]
 	s.mu.RUnlock()
 	if ok {
 		return b
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.backends[name]; ok {
+	if b, ok := s.stats[name]; ok {
 		return b
 	}
-	b = newBackend(name, nil)
-	s.backends[name] = b
+	b = &backend{stats: make(map[string]*opStats)}
+	for _, op := range append(append([]string(nil), Ops...), "batch") {
+		b.stats[op] = &opStats{}
+	}
+	s.stats[name] = b
 	return b
 }
 
-// resolve maps a request's backend name to an index ready to query, plus
-// the version tag identifying the content the answers correspond to (the
-// cache-key generation a coordinator needs). The empty name is allowed
-// when exactly one backend is resolvable. For store-resolved backends the
-// returned release func unpins the decoded generation and must be called
-// when the request is done; it is nil for static backends.
-func (s *Server) resolve(ctx context.Context, name string) (*backend, delta.Index, string, func(), error) {
+// resolve pins the generation a request's backend name currently serves.
+// The empty name is allowed when exactly one backend is catalogued. The
+// caller must Release the handle when the request is done.
+func (s *Server) resolve(ctx context.Context, name string) (*store.Handle, *backend, error) {
 	if name == "" {
-		names := s.names()
+		names := s.opts.Store.Names()
 		if len(names) != 1 {
-			return nil, nil, "", nil, fmt.Errorf("server: %d backends loaded, request must name one", len(names))
+			return nil, nil, fmt.Errorf("server: %d backends loaded, %w", len(names), errUnnamed)
 		}
 		name = names[0]
 	}
-	s.mu.RLock()
-	b, ok := s.backends[name]
-	tag := ""
-	if ok {
-		tag = b.tag
-	}
-	s.mu.RUnlock()
-	if ok && b.ix != nil {
-		return b, b.ix, tag, nil, nil
-	}
-	if s.opts.Store == nil {
-		return nil, nil, "", nil, fmt.Errorf("server: unknown backend %q", name)
-	}
 	h, err := s.opts.Store.Acquire(ctx, name)
 	if err != nil {
-		return nil, nil, "", nil, err
+		return nil, nil, err
 	}
-	return s.statsFor(name), h.Index(), h.VersionTag(), h.Release, nil
+	return h, s.statsFor(name), nil
+}
+
+// answer resolves backend and answers queries against the pinned
+// generation: a single query inline, a batch with the worker pool.
+func (s *Server) answer(ctx context.Context, backend string, queries []Query, single bool) (BatchResponse, error) {
+	h, b, err := s.resolve(ctx, backend)
+	if err != nil {
+		return BatchResponse{}, err
+	}
+	defer h.Release()
+	if single {
+		return BatchResponse{Results: []Result{b.exec(h.Index(), queries[0])}}, nil
+	}
+	start := time.Now()
+	results, unanswered := s.runBatch(ctx, b, h.Index(), queries)
+	st := b.stats["batch"]
+	st.count.Add(1)
+	st.lat.Observe(time.Since(start))
+	if unanswered > 0 {
+		// A truncated batch still returns what it computed: the answered
+		// prefix is valid work, and the tail is explicitly marked. The
+		// canceled counter is the monitoring signal that deadlines are
+		// eating batches.
+		st.canceled.Add(int64(unanswered))
+	}
+	return BatchResponse{Results: results, Generation: h.VersionTag(), Unanswered: unanswered}, nil
 }
 
 // Query is one Table-1 query. ID fields are pointers so "absent" and "0"
@@ -260,11 +217,9 @@ type Result struct {
 	Err   string          `json:"error,omitempty"`
 }
 
-// exec answers one query against an index, recording stats on b. The
-// index is passed in (rather than read from b) because store-resolved
-// backends pin a possibly different generation per request — a plain
-// decoded base, or a delta-chain snapshot whose answers are frozen at
-// that generation's stamp.
+// exec answers one query against the generation a request pinned — a
+// plain decoded base, or a delta-chain snapshot whose answers are frozen
+// at that generation's stamp — recording stats on b.
 func (b *backend) exec(ix delta.Index, q Query) Result {
 	// Start the clock before validation: error responses cost real time
 	// too, and a histogram that only sees successes reports flattering
@@ -374,17 +329,22 @@ feed:
 	return results, unanswered
 }
 
-// Handler returns the HTTP handler for the service.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", s.handleQuery)
-	mux.HandleFunc("POST /batch", s.handleBatch)
-	mux.HandleFunc("GET /backends", s.handleBackends)
-	mux.HandleFunc("GET /generations", s.handleGenerations)
-	mux.HandleFunc("GET /debug/stats", s.handleStats)
-	mux.HandleFunc("GET /debug/store", s.handleStore)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// routes mounts the Server's own endpoints next to the shared surface.
+func (s *Server) routes(mux *http.ServeMux) {
+	mux.HandleFunc("GET /backends", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string][]BackendInfo{"backends": s.Backends()})
+	})
+	mux.HandleFunc("GET /generations", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, GenerationsResponse{Generations: s.Generations()})
+	})
+	mux.HandleFunc("GET /debug/stats", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.Stats())
+	})
+	// /debug/store exposes the store's lifecycle state — per-entry
+	// loaded/evicted status, generations, byte footprints,
+	// hit/miss/load/evict counters, and load-latency histograms.
+	mux.HandleFunc("GET /debug/store", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.opts.Store.Snapshot())
 	})
 	if s.opts.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -393,124 +353,11 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Profile collection legitimately runs for ?seconds=30; exempt
-		// it from the query deadline.
-		if strings.HasPrefix(r.URL.Path, "/debug/pprof/") {
-			mux.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-		defer cancel()
-		mux.ServeHTTP(w, r.WithContext(ctx))
-	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-type queryRequest struct {
-	Backend string `json:"backend"`
-	Query
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	b, ix, _, release, err := s.resolve(r.Context(), req.Backend)
-	if err != nil {
-		writeError(w, resolveStatus(err), err)
-		return
-	}
-	if release != nil {
-		defer release()
-	}
-	res := b.exec(ix, req.Query)
-	if res.Err != "" {
-		writeJSON(w, http.StatusBadRequest, res)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// resolveStatus maps a resolve failure to its HTTP status: names that
-// aren't in the catalog are the client's fault (404), a catalogued file
-// that fails to decode is the server's (502).
-func resolveStatus(err error) int {
-	if errors.Is(err, store.ErrUnknown) || strings.Contains(err.Error(), "unknown backend") ||
-		strings.Contains(err.Error(), "request must name one") {
-		return http.StatusNotFound
-	}
-	return http.StatusBadGateway
-}
-
-type batchRequest struct {
-	Backend string  `json:"backend"`
-	Queries []Query `json:"queries"`
-}
-
-// BatchResponse is the reply to POST /batch, from a single server or a
-// coordinator. Generation is the version tag of the content the answers
-// correspond to (a coordinator omits it when its shards disagree);
-// Unanswered counts queries a timed-out batch returned with per-result
-// errors instead of answers; Partial names the shards a coordinator could
-// not reach. Field order matters: a healthy coordinator reply must be
-// byte-identical to a single-process one.
-type BatchResponse struct {
-	Results    []Result     `json:"results"`
-	Generation string       `json:"generation,omitempty"`
-	Unanswered int          `json:"unanswered,omitempty"`
-	Partial    []ShardError `json:"partial,omitempty"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if len(req.Queries) > s.opts.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch of %d exceeds limit %d", len(req.Queries), s.opts.MaxBatch))
-		return
-	}
-	b, ix, tag, release, err := s.resolve(r.Context(), req.Backend)
-	if err != nil {
-		writeError(w, resolveStatus(err), err)
-		return
-	}
-	if release != nil {
-		defer release()
-	}
-	start := time.Now()
-	results, unanswered := s.runBatch(r.Context(), b, ix, req.Queries)
-	st := b.stats["batch"]
-	st.count.Add(1)
-	st.lat.Observe(time.Since(start))
-	if unanswered > 0 {
-		// A truncated batch still returns what it computed: the answered
-		// prefix is valid work, and the tail is explicitly marked. The
-		// canceled counter is the monitoring signal that deadlines are
-		// eating batches.
-		st.canceled.Add(int64(unanswered))
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Generation: tag, Unanswered: unanswered})
-}
-
-// BackendInfo describes one catalogued index. Store-resolved backends
-// report Loaded=false (with zero or last-known dimensions) until their
-// first query decodes them; static indexes are always loaded.
+// BackendInfo describes one catalogued index. File-backed backends report
+// Loaded=false (with zero or last-known dimensions) until their first
+// query decodes them; static (AddIndex) indexes are always loaded.
 type BackendInfo struct {
 	Name       string `json:"name"`
 	Source     string `json:"source"` // "static" or "store"
@@ -521,103 +368,41 @@ type BackendInfo struct {
 	Rectangles int    `json:"rectangles"`
 }
 
-func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]BackendInfo{"backends": s.Backends()})
-}
-
-// Backends lists the catalogued indexes sorted by name: static indexes
-// first-class, store entries described from the store's snapshot without
-// forcing any to load (that would defeat the budget).
+// Backends lists the catalogued indexes sorted by name, described from the
+// store's snapshot without forcing any to load (that would defeat the
+// budget).
 func (s *Server) Backends() []BackendInfo {
-	s.mu.RLock()
-	out := make([]BackendInfo, 0, len(s.backends))
-	seen := make(map[string]bool, len(s.backends))
-	for _, b := range s.backends {
-		if b.ix == nil {
-			continue // stats shell for a store backend; listed below
+	snap := s.opts.Store.Snapshot()
+	out := make([]BackendInfo, 0, len(snap.Backends))
+	for _, e := range snap.Backends {
+		src := "store"
+		if e.Static {
+			src = "static"
 		}
-		seen[b.name] = true
 		out = append(out, BackendInfo{
-			Name:       b.name,
-			Source:     "static",
-			Loaded:     true,
-			Pointers:   b.ix.NumPointers,
-			Objects:    b.ix.NumObjects,
-			Groups:     b.ix.NumGroups,
-			Rectangles: b.ix.Rectangles(),
+			Name:       e.Name,
+			Source:     src,
+			Loaded:     e.Loaded,
+			Pointers:   e.Pointers,
+			Objects:    e.Objects,
+			Groups:     e.Groups,
+			Rectangles: e.Rectangles,
 		})
 	}
-	s.mu.RUnlock()
-	if s.opts.Store != nil {
-		for _, e := range s.opts.Store.Snapshot().Backends {
-			if seen[e.Name] {
-				continue // a static index shadows the store entry
-			}
-			out = append(out, BackendInfo{
-				Name:       e.Name,
-				Source:     "store",
-				Loaded:     e.Loaded,
-				Pointers:   e.Pointers,
-				Objects:    e.Objects,
-				Groups:     e.Groups,
-				Rectangles: e.Rectangles,
-			})
-		}
-	}
-	sortBackends(out)
 	return out
 }
 
-// handleStore exposes the store's lifecycle state — per-entry
-// loaded/evicted status, generations, byte footprints, hit/miss/load/evict
-// counters, and load-latency histograms.
-func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Store == nil {
-		writeError(w, http.StatusNotFound, errors.New("server: no store configured"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.Store.Snapshot())
-}
-
-func sortBackends(bs []BackendInfo) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Name < bs[j-1].Name; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
-}
-
 // GenerationsResponse is the GET /generations payload: the version tag of
-// every backend that can answer without loading anything — static indexes
-// plus loaded store entries. A coordinator polls this to revalidate its
-// cache watermarks without paying a query.
+// every backend that can answer without loading anything. A coordinator
+// polls this to revalidate its cache watermarks without paying a query.
 type GenerationsResponse struct {
 	Generations map[string]string `json:"generations"`
 }
 
-func (s *Server) handleGenerations(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, GenerationsResponse{Generations: s.Generations()})
-}
-
-// Generations reports the version tag of every static backend and every
-// loaded store entry. Unloaded store entries are omitted rather than
-// loaded: minting a tag must never cost a decode.
-func (s *Server) Generations() map[string]string {
-	out := make(map[string]string)
-	if s.opts.Store != nil {
-		for name, tag := range s.opts.Store.VersionTags() {
-			out[name] = tag
-		}
-	}
-	s.mu.RLock()
-	for name, b := range s.backends {
-		if b.ix != nil {
-			out[name] = b.tag // static shadows the store entry, as resolve does
-		}
-	}
-	s.mu.RUnlock()
-	return out
-}
+// Generations reports the version tag of every loaded backend. Unloaded
+// entries are omitted rather than loaded: minting a tag must never cost a
+// decode.
+func (s *Server) Generations() map[string]string { return s.opts.Store.VersionTags() }
 
 // OpStats is the monitoring snapshot for one (backend, op) pair.
 type OpStats struct {
@@ -633,19 +418,15 @@ type Stats struct {
 	Backends map[string]map[string]OpStats `json:"backends"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
 // Stats snapshots every counter and histogram.
 func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := Stats{
 		UptimeMS: time.Since(s.start).Milliseconds(),
-		Backends: make(map[string]map[string]OpStats, len(s.backends)),
+		Backends: make(map[string]map[string]OpStats, len(s.stats)),
 	}
-	for name, b := range s.backends {
+	for name, b := range s.stats {
 		ops := make(map[string]OpStats, len(b.stats))
 		for op, st := range b.stats {
 			ops[op] = OpStats{
@@ -658,38 +439,4 @@ func (s *Server) Stats() Stats {
 		out.Backends[name] = ops
 	}
 	return out
-}
-
-// Serve accepts connections on l until Shutdown. It returns
-// http.ErrServerClosed after a clean shutdown, like net/http.
-func (s *Server) Serve(l net.Listener) error {
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	s.httpMu.Lock()
-	s.httpS = hs
-	s.httpMu.Unlock()
-	return hs.Serve(l)
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Shutdown gracefully stops the server: the listener closes immediately,
-// in-flight requests get until ctx expires to finish.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.httpMu.Lock()
-	hs := s.httpS
-	s.httpMu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
 }

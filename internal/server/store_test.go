@@ -342,9 +342,9 @@ func TestStoreServesMappedV2Backend(t *testing.T) {
 }
 
 // TestResolveConcurrentRegistration hammers the lazily-registered statsFor
-// path: store-backed queries (whose backend shells are created on first
-// touch), concurrent AddIndex of new static backends, store eviction
-// churn, and stats readers, all at once. The assertions are modest — the
+// path: store-backed queries (whose counters are created on first touch),
+// concurrent AddIndex of new static backends, store eviction churn, and
+// stats readers, all at once. The assertions are modest — the
 // point is the interleavings, which the -race CI step checks.
 func TestResolveConcurrentRegistration(t *testing.T) {
 	dir := t.TempDir()

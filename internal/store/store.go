@@ -7,12 +7,18 @@
 // and dropped under pressure — the next query just pays the (cheap) decode
 // again.
 //
-// A Store is a catalog of backend name → .pes path (explicit Add calls or
-// AddDir directory scans). Acquire pins a decoded generation for the
-// duration of a query; concurrent first loads of the same entry are
-// deduplicated (singleflight, sharing the outcome — success or error —
-// with every waiter), and pinned generations are never freed by
-// eviction. Refresh (or the background reloader started by
+// A Store is the one catalog a server resolves backends through. Entries
+// come from three places: explicit Add calls (name → .pes path), AddDir
+// directory scans, and AddIndex, which registers an index already in
+// memory as a pinned entry — always loaded, never evicted or refreshed,
+// outside the budget. A pinned or explicitly added entry shadows a
+// directory-scanned one of the same name, whichever registered first.
+//
+// Acquire pins a decoded generation for the duration of a query;
+// concurrent first loads of the same entry are deduplicated
+// (singleflight, sharing the outcome — success or error — with every
+// waiter), and generations held by a Handle are never freed by eviction.
+// Refresh (or the background reloader started by
 // Options.ReloadInterval) re-hashes files and hot-swaps changed ones: the
 // new generation is decoded off to the side and installed with a single
 // pointer swap, so in-flight queries keep their pinned old generation and
@@ -38,6 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,6 +54,7 @@ import (
 
 	"pestrie/internal/core"
 	"pestrie/internal/delta"
+	"pestrie/internal/flight"
 	"pestrie/internal/perf"
 	"pestrie/internal/safeio"
 )
@@ -92,8 +100,9 @@ type generation struct {
 	// decoded base through vx's internal refcount, so retiring the old
 	// generation never unmaps a base the new one still serves.
 	vx    *delta.Versioned
-	sum   [sha256.Size]byte // SHA-256 of the base file image
+	sum   [sha256.Size]byte // SHA-256 of the base file image; zero for pinned indexes
 	bytes int64
+	tag   string // version tag, fixed at construction (see Handle.VersionTag)
 
 	// guarded by Store.mu:
 	refs    int  // in-flight handles pinning this generation
@@ -146,16 +155,17 @@ func genDims(g *generation, note string) dims {
 
 type entry struct {
 	name    string
-	path    string
+	path    string // "" for pinned entries
 	fromDir bool
+	pinned  bool // registered in memory by AddIndex; gen never changes
 
 	// guarded by Store.mu:
-	gen      *generation   // current generation; nil when not loaded
-	loading  *inflight     // non-nil while a first load is in flight
-	swapping bool          // a Refresh is decoding a replacement
-	loadErr  string        // last load/swap failure, "" when healthy
-	genSeq   int64         // bumped on every successful load or swap
-	elem     *list.Element // LRU position; non-nil iff gen != nil
+	gen      *generation         // current generation; nil when not loaded
+	loading  *flight.Call[error] // non-nil while a first load is in flight
+	swapping bool                // a Refresh is decoding a replacement
+	loadErr  string              // last load/swap failure, "" when healthy
+	genSeq   int64               // bumped on every successful load or swap
+	elem     *list.Element       // LRU position; non-nil iff gen != nil && !pinned
 	info     dims
 
 	hits      atomic.Int64
@@ -166,15 +176,6 @@ type entry struct {
 	applies   atomic.Int64 // delta segments applied by Refresh without reloading the base
 	loadLat   perf.Histogram
 	applyLat  perf.Histogram
-}
-
-// inflight is one in-progress first load. The loader stores err and then
-// closes done (the channel close publishes the write), so every waiter
-// observes the same outcome: a failed load surfaces the one error to all
-// waiters instead of letting each retry the broken file in turn.
-type inflight struct {
-	done chan struct{}
-	err  error
 }
 
 // Store is a managed, memory-budgeted catalog of decoded indexes.
@@ -245,22 +246,58 @@ func (s *Store) Close() {
 // Add registers one backend name → .pes path. The file is not touched
 // until the first Acquire.
 func (s *Store) Add(name, path string) error {
-	return s.add(name, path, false)
-}
-
-func (s *Store) add(name, path string, fromDir bool) error {
-	if name == "" {
-		return errors.New("store: empty backend name")
-	}
 	if path == "" {
 		return fmt.Errorf("store: empty path for backend %q", name)
 	}
+	return s.add(&entry{name: name, path: path})
+}
+
+// AddIndex registers an index already in memory as a pinned entry: it is
+// served as is, never evicted, refreshed or charged to the budget. Its
+// version tag is a dimension stamp (staticTag), so processes that decoded
+// the same file agree on it without hashing anything.
+func (s *Store) AddIndex(name string, ix *core.Index) error {
+	if ix == nil {
+		return errors.New("store: nil index")
+	}
+	vx, err := delta.NewVersioned(ix)
+	if err != nil {
+		return err
+	}
+	g := &generation{ix: ix, vx: vx, bytes: ix.MemoryFootprint(), tag: staticTag(ix)}
+	return s.add(&entry{name: name, pinned: true, gen: g, genSeq: 1, info: genDims(g, "")})
+}
+
+// staticTag is the version tag of a pinned index. A pinned index never
+// changes within a process, so the tag only needs to be deterministic
+// across processes serving the same file — the structural dimensions are
+// a cheap content signature for that (a coordinator caching on it
+// compares tags from different shard processes).
+func staticTag(ix *core.Index) string {
+	return fmt.Sprintf("s:%d.%d.%d.%d", ix.NumPointers, ix.NumObjects, ix.NumGroups, ix.Rectangles())
+}
+
+// add catalogs e. This is where the shadow policy lives: a pinned or
+// explicitly added entry replaces a directory-scanned one of the same
+// name, and every other collision is ErrDuplicate — so the outcome never
+// depends on registration order.
+func (s *Store) add(e *entry) error {
+	if e.name == "" {
+		return errors.New("store: empty backend name")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.entries[name]; dup {
-		return fmt.Errorf("%w %q", ErrDuplicate, name)
+	if old, dup := s.entries[e.name]; dup {
+		if e.fromDir || !old.fromDir {
+			return fmt.Errorf("%w %q", ErrDuplicate, e.name)
+		}
+		if old.gen != nil {
+			s.retireLocked(old.gen)
+			s.lru.Remove(old.elem)
+			old.gen, old.elem = nil, nil
+		}
 	}
-	s.entries[name] = &entry{name: name, path: path, fromDir: fromDir}
+	s.entries[e.name] = e
 	return nil
 }
 
@@ -269,14 +306,7 @@ func (s *Store) add(name, path string, fromDir bool) error {
 // later. Returns the number of entries added by this scan.
 func (s *Store) AddDir(dir string) (int, error) {
 	s.mu.Lock()
-	known := false
-	for _, d := range s.dirs {
-		if d == dir {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(s.dirs, dir) {
 		s.dirs = append(s.dirs, dir)
 	}
 	s.mu.Unlock()
@@ -294,7 +324,7 @@ func (s *Store) scanDir(dir string) (int, error) {
 			continue
 		}
 		name := strings.TrimSuffix(de.Name(), ".pes")
-		err := s.add(name, filepath.Join(dir, de.Name()), true)
+		err := s.add(&entry{name: name, path: filepath.Join(dir, de.Name()), fromDir: true})
 		switch {
 		case err == nil:
 			added++
@@ -352,11 +382,14 @@ func (h *Handle) Checksum() string { return hex.EncodeToString(h.g.sum[:]) }
 // needs: a hot-swap changes the hash, a delta apply changes the stamp, and
 // an evict-then-reload of an unchanged file keeps the tag (so cached
 // answers survive churn that doesn't change answers).
-func (h *Handle) VersionTag() string { return h.g.tag() }
+//
+// A pinned entry's tag is its staticTag instead.
+func (h *Handle) VersionTag() string { return h.g.tag }
 
-// tag renders the generation's version tag. 64 bits of SHA-256 is plenty
-// for a cache key namespace that only ever holds a handful of live tags.
-func (g *generation) tag() string {
+// contentTag renders a file-backed generation's version tag. 64 bits of
+// SHA-256 is plenty for a cache key namespace that only ever holds a
+// handful of live tags.
+func contentTag(g *generation) string {
 	return hex.EncodeToString(g.sum[:8]) + "@" + strconv.FormatUint(g.stamp(), 10)
 }
 
@@ -369,7 +402,7 @@ func (s *Store) VersionTags() map[string]string {
 	out := make(map[string]string)
 	for name, e := range s.entries {
 		if e.gen != nil {
-			out[name] = e.gen.tag()
+			out[name] = e.gen.tag
 		}
 	}
 	return out
@@ -415,7 +448,9 @@ func (s *Store) Acquire(ctx context.Context, name string) (*Handle, error) {
 				e.hits.Add(1)
 			}
 			e.gen.refs++
-			s.lru.MoveToFront(e.elem)
+			if e.elem != nil { // pinned entries sit outside the LRU
+				s.lru.MoveToFront(e.elem)
+			}
 			h := &Handle{s: s, e: e, g: e.gen, seq: e.genSeq}
 			s.mu.Unlock()
 			return h, nil
@@ -426,19 +461,18 @@ func (s *Store) Acquire(ctx context.Context, name string) (*Handle, error) {
 		}
 		if inf := e.loading; inf != nil {
 			s.mu.Unlock()
-			select {
-			case <-inf.done:
-				if inf.err != nil {
-					// Share the loader's error rather than looping back
-					// and re-attempting the same broken file ourselves.
-					return nil, inf.err
-				}
-				continue
-			case <-ctx.Done():
-				return nil, fmt.Errorf("store: waiting for %q to load: %w", name, ctx.Err())
+			loadErr, err := inf.Wait(ctx)
+			if err != nil {
+				return nil, fmt.Errorf("store: waiting for %q to load: %w", name, err)
 			}
+			if loadErr != nil {
+				// Share the loader's error rather than looping back and
+				// re-attempting the same broken file ourselves.
+				return nil, loadErr
+			}
+			continue
 		}
-		inf := &inflight{done: make(chan struct{})}
+		inf := flight.New[error]()
 		e.loading = inf
 		s.mu.Unlock()
 
@@ -449,12 +483,19 @@ func (s *Store) Acquire(ctx context.Context, name string) (*Handle, error) {
 		e.loading = nil
 		if err != nil {
 			e.loadErr = err.Error()
-			inf.err = fmt.Errorf("store: loading backend %q from %s: %w", name, e.path, err)
-			close(inf.done)
+			err = fmt.Errorf("store: loading backend %q from %s: %w", name, e.path, err)
+			inf.Finish(err)
 			s.mu.Unlock()
-			return nil, inf.err
+			return nil, err
 		}
-		close(inf.done)
+		inf.Finish(nil)
+		if s.entries[name] != e {
+			// Shadowed by a pinned or explicit entry while loading: drop
+			// ours and resolve the name again.
+			s.mu.Unlock()
+			gen.free()
+			continue
+		}
 		e.loadErr = ""
 		e.loads.Add(1)
 		e.loadLat.Observe(time.Since(start))
@@ -543,6 +584,7 @@ func loadGeneration(path string) (*generation, dims, error) {
 		g.ix = vx.Head()
 	}
 	g.bytes = g.ix.MemoryFootprint()
+	g.tag = contentTag(g)
 	return g, genDims(g, note), nil
 }
 
@@ -602,7 +644,7 @@ func (s *Store) Refresh() error {
 	s.mu.Lock()
 	var candidates []*entry
 	for _, e := range s.entries {
-		if e.gen != nil && !e.swapping && e.loading == nil {
+		if e.gen != nil && !e.pinned && !e.swapping && e.loading == nil {
 			e.swapping = true
 			candidates = append(candidates, e)
 		}
@@ -643,10 +685,7 @@ func (s *Store) refreshEntry(e *entry) error {
 	// the steady state (nothing rewritten) costs one read and no load.
 	raw, err := os.ReadFile(e.path)
 	if err != nil {
-		s.mu.Lock()
-		e.loadErr = err.Error()
-		s.mu.Unlock()
-		return fmt.Errorf("store: refreshing %q: %w", e.name, err)
+		return s.failed(e, err, "store: refreshing %q: %w", e.name, err)
 	}
 	if sha256.Sum256(raw) == old.sum {
 		// The base is unchanged; new delta segments next to it extend the
@@ -661,39 +700,17 @@ func (s *Store) refreshEntry(e *entry) error {
 	start := time.Now()
 	gen, info, err := s.load(e.path)
 	if err != nil {
-		s.mu.Lock()
-		e.loadErr = err.Error()
-		s.mu.Unlock()
-		return fmt.Errorf("store: re-loading %q from %s: %w", e.name, e.path, err)
-	}
-
-	s.mu.Lock()
-	if e.gen != old { // swapped or evicted while we loaded; discard ours
-		s.mu.Unlock()
-		gen.free()
-		return nil
+		return s.failed(e, err, "store: re-loading %q from %s: %w", e.name, e.path, err)
 	}
 	if gen.sum == old.sum { // the file raced back to the old content
-		s.mu.Unlock()
 		gen.free()
 		return nil
 	}
-	old.retired = true
-	if old.refs == 0 {
-		s.total -= old.bytes
-		old.free()
+	if s.install(e, old, gen, info) {
+		e.swaps.Add(1)
+		e.loads.Add(1)
+		e.loadLat.Observe(time.Since(start))
 	}
-	e.gen = gen
-	e.genSeq++
-	e.loadErr = ""
-	e.info = info
-	e.swaps.Add(1)
-	e.loads.Add(1)
-	e.loadLat.Observe(time.Since(start))
-	s.total += gen.bytes
-	s.lru.MoveToFront(e.elem)
-	s.evictLocked()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -722,42 +739,64 @@ func (s *Store) extendEntry(e *entry, old *generation) error {
 	start := time.Now()
 	vx, err := old.vx.Extend(fresh...)
 	if err != nil {
-		s.mu.Lock()
-		e.loadErr = err.Error()
-		s.mu.Unlock()
-		return fmt.Errorf("store: applying deltas to %q: %w", e.name, err)
+		return s.failed(e, err, "store: applying deltas to %q: %w", e.name, err)
 	}
 	gen := &generation{ix: vx.Head(), vx: vx, sum: old.sum, bytes: vx.Head().MemoryFootprint()}
-	info := genDims(gen, chain.Broken)
+	gen.tag = contentTag(gen)
+	if s.install(e, old, gen, genDims(gen, chain.Broken)) {
+		e.applies.Add(1)
+		e.applyLat.Observe(time.Since(start))
+	}
+	return nil
+}
 
+// install makes gen e's current generation in place of old with one
+// pointer swap; readers holding old keep it until their last Release, and
+// the budget stays charged for it until then. If e moved on while gen was
+// being built — swapped, evicted, or shadowed — gen is discarded instead.
+// It reports whether gen was installed.
+func (s *Store) install(e *entry, old, gen *generation, info dims) bool {
 	s.mu.Lock()
-	if e.gen != old { // swapped or evicted while we applied; discard ours
+	if e.gen != old {
 		s.mu.Unlock()
 		gen.free()
-		return nil
+		return false
 	}
-	old.retired = true
-	if old.refs == 0 {
-		s.total -= old.bytes
-		old.free()
-	}
+	s.retireLocked(old)
 	e.gen = gen
 	e.genSeq++
 	e.loadErr = ""
 	e.info = info
-	e.applies.Add(1)
-	e.applyLat.Observe(time.Since(start))
 	s.total += gen.bytes
 	s.lru.MoveToFront(e.elem)
 	s.evictLocked()
 	s.mu.Unlock()
-	return nil
+	return true
+}
+
+// retireLocked takes g out of service: it is freed and uncharged now if
+// no Handle holds it, else by its last Release.
+func (s *Store) retireLocked(g *generation) {
+	g.retired = true
+	if g.refs == 0 {
+		s.total -= g.bytes
+		g.free()
+	}
+}
+
+// failed records cause as e's last error and returns the formatted error.
+func (s *Store) failed(e *entry, cause error, format string, args ...any) error {
+	s.mu.Lock()
+	e.loadErr = cause.Error()
+	s.mu.Unlock()
+	return fmt.Errorf(format, args...)
 }
 
 // EntryInfo is the monitoring snapshot of one catalog entry.
 type EntryInfo struct {
 	Name       string `json:"name"`
 	Path       string `json:"path"`
+	Static     bool   `json:"static,omitempty"` // pinned in memory by AddIndex; Path is empty
 	Loaded     bool   `json:"loaded"`
 	Mapped     bool   `json:"mapped,omitempty"` // zero-copy PES2 mapping, not a heap decode
 	Generation int64  `json:"generation"`
@@ -798,7 +837,9 @@ type EntryInfo struct {
 
 // Stats is the store-wide monitoring snapshot (the /debug/store payload).
 type Stats struct {
-	Budget           int64       `json:"budget"`
+	Budget int64 `json:"budget"`
+	// LoadedBytes is what the budget is charged: file-backed generations,
+	// current or retired-but-held. Pinned indexes are not counted.
 	LoadedBytes      int64       `json:"loaded_bytes"`
 	Entries          int         `json:"entries"`
 	LoadedEntries    int         `json:"loaded_entries"`
@@ -826,6 +867,7 @@ func (s *Store) Snapshot() Stats {
 		ei := EntryInfo{
 			Name:         e.name,
 			Path:         e.path,
+			Static:       e.pinned,
 			Generation:   e.genSeq,
 			Pointers:     e.info.Pointers,
 			Objects:      e.info.Objects,
@@ -849,7 +891,9 @@ func (s *Store) Snapshot() Stats {
 			ei.Loaded = true
 			ei.Mapped = e.gen.ix.Mapped()
 			ei.Bytes = e.gen.bytes
-			ei.Checksum = hex.EncodeToString(e.gen.sum[:])
+			if !e.pinned {
+				ei.Checksum = hex.EncodeToString(e.gen.sum[:])
+			}
 			ei.Pinned = e.gen.refs
 			out.LoadedEntries++
 		}

@@ -291,19 +291,21 @@ var (
 
 // --- query service (cmd/pestrie serve) ---------------------------------
 
-// QueryServer serves one or more loaded indexes as a concurrent HTTP/JSON
+// QueryServer serves the backends of one Store as a concurrent HTTP/JSON
 // query service: the four Table-1 queries plus a batch endpoint answered
 // by a worker pool, with per-backend counters and latency histograms at
 // /debug/stats. Served answers are byte-identical to direct Index calls.
 type QueryServer = server.Server
 
-// QueryServerOptions tune request timeouts, the batch worker pool, and
-// the batch size limit; the zero value selects sensible defaults.
+// QueryServerOptions tune request timeouts, the batch worker pool, the
+// batch size limit (request bodies are capped in proportion), and the
+// Store every backend resolves through; the zero value selects sensible
+// defaults, including a private store.
 type QueryServerOptions = server.Options
 
-// NewQueryServer returns an empty query server; register decoded indexes
-// with AddIndex, then Serve or ListenAndServe. Shutdown stops it
-// gracefully.
+// NewQueryServer returns a query server over its store; register decoded
+// indexes with AddIndex (pinned store entries), then Serve or
+// ListenAndServe. Shutdown stops it gracefully.
 func NewQueryServer(opts QueryServerOptions) *QueryServer { return server.New(opts) }
 
 // Coordinator fronts a tier of query-server shards: it hash-partitions
@@ -326,13 +328,14 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 
 // --- managed index store (cmd/pestrie serve -store-dir) -----------------
 
-// Store is the managed, memory-budgeted index store: a catalog of backend
-// name → .pes path where indexes decode lazily on first Acquire, cold
-// entries are evicted LRU-wise to respect a byte budget (in-flight queries
-// pin their generation, so eviction never frees an index mid-query), and
-// Refresh hot-swaps entries whose file checksum changed. Set
-// QueryServerOptions.Store to serve a catalog instead of eagerly loaded
-// indexes.
+// Store is the one index catalog a QueryServer resolves backends through:
+// backend name → .pes path, where indexes decode lazily on first Acquire,
+// cold entries are evicted LRU-wise to respect a byte budget (in-flight
+// queries pin their generation, so eviction never frees an index
+// mid-query), and Refresh hot-swaps entries whose file checksum changed;
+// plus pinned in-memory indexes (AddIndex), which are never evicted or
+// refreshed and shadow a scanned file of the same name. Set
+// QueryServerOptions.Store to share one catalog among several servers.
 type Store = store.Store
 
 // StoreOptions configure a Store: the decoded-index memory budget and the
@@ -344,7 +347,8 @@ type StoreOptions = store.Options
 // Release.
 type StoreHandle = store.Handle
 
-// NewStore returns an empty store; populate the catalog with Add/AddDir.
+// NewStore returns an empty store; populate the catalog with Add, AddDir
+// and AddIndex.
 func NewStore(opts StoreOptions) *Store { return store.New(opts) }
 
 // --- incremental, versioned indexes (cmd/pestrie delta / compact) -------

@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"pestrie"
-	"pestrie/internal/bitset"
 	"pestrie/internal/core"
 	"pestrie/internal/delta"
 	"pestrie/internal/perf"
@@ -265,7 +264,6 @@ func serveLoop(listenAndServe func() error, shutdown func(context.Context) error
 
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	bitset.Flag(fs)
 	in := fs.String("in", "", "persistent files to serve: [name=]file.pes, comma-separated")
 	addr := fs.String("addr", ":7171", "listen address")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline")
@@ -438,7 +436,6 @@ func parseMix(spec string) (server.Mix, error) {
 
 func benchServe(args []string) error {
 	fs := flag.NewFlagSet("bench-serve", flag.ExitOnError)
-	bitset.Flag(fs)
 	addr := fs.String("addr", "http://localhost:7171", "server base URL")
 	in := fs.String("in", "", "persistent file the server loaded (query-population source)")
 	backend := fs.String("backend", "", "backend name (empty for single-backend servers)")
@@ -609,7 +606,6 @@ func readMatrixFile(path string) (*pestrie.Matrix, error) {
 // store applies the new segment on its next refresh.
 func deltaCmd(args []string) error {
 	fs := flag.NewFlagSet("delta", flag.ExitOnError)
-	bitset.Flag(fs)
 	base := fs.String("base", "", "served base file (.pes) the segment chains onto")
 	newPM := fs.String("new", "", "matrix file (.ptm) holding the updated facts")
 	out := fs.String("out", "", "output segment path (default: the next stamp next to -base)")
@@ -675,7 +671,6 @@ func deltaCmd(args []string) error {
 // what CI checks.
 func compact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
-	bitset.Flag(fs)
 	in := fs.String("in", "", "base file (.pes) whose delta chain to fold in")
 	out := fs.String("out", "", "output persistent file (.pes)")
 	gen := fs.Uint64("gen", 0, "generation to compact through (0 = chain head)")
@@ -739,7 +734,6 @@ func compact(args []string) error {
 // for the encoding pipeline.
 func verify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	bitset.Flag(fs)
 	pes := fs.String("pes", "", "persistent file (.pes)")
 	ptm := fs.String("ptm", "", "original matrix file (.ptm)")
 	fs.Parse(args)
@@ -771,7 +765,6 @@ func verify(args []string) error {
 
 func encode(args []string) error {
 	fs := flag.NewFlagSet("encode", flag.ExitOnError)
-	bitset.Flag(fs)
 	in := fs.String("in", "", "input matrix file (.ptm)")
 	facts := fs.String("facts", "", "input text facts file (pointer object per line) instead of -in")
 	out := fs.String("out", "", "output persistent file (.pes)")

@@ -192,7 +192,7 @@ func (s *solver) hvn(uf *unionFind) {
 	// Label sets are tiny (a handful of distinct inflow labels per SCC), so
 	// the hybrid set stays in its sorted-array form; ForEach iterates
 	// ascending, replacing the old map + sort.Ints dance.
-	var set bitset.Set
+	var set *bitset.Set
 
 	// Reverse emission order = predecessors first, so every predecessor
 	// label is final when read.

@@ -4,6 +4,11 @@
 // equivalent pointers and objects. Queries are answered directly from the
 // bitmaps, so IsAlias costs a bitmap bit-lookup — O(n) through the linked
 // block list — while ListAliases is a pre-computed row expansion.
+//
+// Every class-level row is an internal/bitmap linked bitmap, the GCC
+// structure the paper measures (§7); this package is its only owner. The
+// rest of the pipeline runs on internal/bitset, whose row format the BIT1
+// matrix sections share.
 package bitenc
 
 import (
@@ -12,6 +17,7 @@ import (
 	"fmt"
 	"io"
 
+	"pestrie/internal/bitmap"
 	"pestrie/internal/matrix"
 	"pestrie/internal/safeio"
 )
@@ -22,7 +28,9 @@ const (
 )
 
 // Encoding is the in-memory BitP structure: class-compressed PM, its
-// transpose, and the class-level alias matrix.
+// transpose, and the class-level alias matrix, one linked bitmap per row.
+// As with GCC's bitmaps, a lookup moves the row's block cache, so an
+// Encoding must not be queried from several goroutines at once.
 type Encoding struct {
 	NumPointers int
 	NumObjects  int
@@ -32,9 +40,9 @@ type Encoding struct {
 	ptrMembers [][]int32
 	objMembers [][]int32
 
-	pm  *matrix.PointsTo // pointer-class × object-class
-	pmt *matrix.PointsTo // object-class × pointer-class
-	am  *matrix.PointsTo // pointer-class × pointer-class
+	pm  []*bitmap.Sparse // pointer class -> object classes
+	pmt []*bitmap.Sparse // object class -> pointer classes
+	am  []*bitmap.Sparse // pointer class -> aliased pointer classes
 }
 
 // Encode builds the BitP encoding of pm: detect pointer and object
@@ -49,26 +57,49 @@ func Encode(pm *matrix.PointsTo) *Encoding {
 		NumObjects:  pm.NumObjects,
 		ptrClassOf:  ptrClassOf,
 		objClassOf:  objClassOf,
+		pm:          newRows(nPtrClasses),
 	}
 	e.buildMembers()
-
-	cpm := matrix.New(nPtrClasses, nObjClasses)
-	seen := make([]bool, nPtrClasses)
-	for p := 0; p < pm.NumPointers; p++ {
-		c := ptrClassOf[p]
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		pm.Row(p).ForEach(func(o int) bool {
-			cpm.Add(c, objClassOf[o])
+	for c, members := range e.ptrMembers {
+		row := e.pm[c]
+		pm.Row(int(members[0])).ForEach(func(o int) bool {
+			row.Set(objClassOf[o])
 			return true
 		})
 	}
-	e.pm = cpm
-	e.pmt = cpm.Transpose()
-	e.am = cpm.AliasMatrixWith(e.pmt)
+	e.pmt = transpose(e.pm, nObjClasses)
+	e.am = make([]*bitmap.Sparse, nPtrClasses)
+	for c, row := range e.pm {
+		am := bitmap.New()
+		row.ForEach(func(o int) bool {
+			am.Or(e.pmt[o])
+			return true
+		})
+		e.am[c] = am
+	}
 	return e
+}
+
+func newRows(n int) []*bitmap.Sparse {
+	rows := make([]*bitmap.Sparse, n)
+	for i := range rows {
+		rows[i] = bitmap.New()
+	}
+	return rows
+}
+
+// transpose returns the cols × len(rows) transpose of a row matrix. Rows
+// are visited in ascending order, so every Set appends at the tail the
+// block cache already points at.
+func transpose(rows []*bitmap.Sparse, cols int) []*bitmap.Sparse {
+	out := newRows(cols)
+	for r, row := range rows {
+		row.ForEach(func(c int) bool {
+			out[c].Set(r)
+			return true
+		})
+	}
+	return out
 }
 
 func (e *Encoding) buildMembers() {
@@ -99,7 +130,7 @@ func (e *Encoding) IsAlias(p, q int) bool {
 	if p < 0 || p >= e.NumPointers || q < 0 || q >= e.NumPointers {
 		return false
 	}
-	return e.am.Has(e.ptrClassOf[p], e.ptrClassOf[q])
+	return e.am[e.ptrClassOf[p]].Test(e.ptrClassOf[q])
 }
 
 // ListAliases returns the pointers aliased to p, excluding p itself.
@@ -108,7 +139,7 @@ func (e *Encoding) ListAliases(p int) []int {
 		return nil
 	}
 	var out []int
-	e.am.Row(e.ptrClassOf[p]).ForEach(func(c int) bool {
+	e.am[e.ptrClassOf[p]].ForEach(func(c int) bool {
 		for _, q := range e.ptrMembers[c] {
 			if int(q) != p {
 				out = append(out, int(q))
@@ -125,7 +156,7 @@ func (e *Encoding) ListPointsTo(p int) []int {
 		return nil
 	}
 	var out []int
-	e.pm.Row(e.ptrClassOf[p]).ForEach(func(c int) bool {
+	e.pm[e.ptrClassOf[p]].ForEach(func(c int) bool {
 		for _, o := range e.objMembers[c] {
 			out = append(out, int(o))
 		}
@@ -140,7 +171,7 @@ func (e *Encoding) ListPointedBy(o int) []int {
 		return nil
 	}
 	var out []int
-	e.pmt.Row(e.objClassOf[o]).ForEach(func(c int) bool {
+	e.pmt[e.objClassOf[o]].ForEach(func(c int) bool {
 		for _, q := range e.ptrMembers[c] {
 			out = append(out, int(q))
 		}
@@ -149,18 +180,21 @@ func (e *Encoding) ListPointedBy(o int) []int {
 	return out
 }
 
+// blockBytes is the footprint of one 128-bit linked-bitmap block: index,
+// two words and list link, GCC's element size ballpark.
+const blockBytes = 40
+
 // MemoryFootprint estimates the resident size of the query structure in
-// bytes, dominated by the row sets (for the linked substrate ~40 bytes per
-// 128-bit block including list overhead, matching GCC's element size
-// ballpark; for the flat substrate the word arrays themselves).
+// bytes: the blocks of the PM, PMT and AM rows plus the class maps. Row
+// list heads are not counted, so empty rows are free.
 func (e *Encoding) MemoryFootprint() int64 {
-	var rows int64
-	for _, m := range []*matrix.PointsTo{e.pm, e.pmt, e.am} {
-		for r := 0; r < m.NumPointers; r++ {
-			rows += m.Row(r).Bytes()
+	var n int64
+	for _, rows := range [][]*bitmap.Sparse{e.pm, e.pmt, e.am} {
+		for _, row := range rows {
+			n += int64(row.Blocks()) * blockBytes
 		}
 	}
-	return rows + int64(len(e.ptrClassOf)+len(e.objClassOf))*8
+	return n + int64(len(e.ptrClassOf)+len(e.objClassOf))*8
 }
 
 // WriteTo writes the persistent BitP file: class maps, the class-level PM,
@@ -196,14 +230,57 @@ func (e *Encoding) WriteTo(w io.Writer) (int64, error) {
 			return written, err
 		}
 	}
-	for _, m := range []*matrix.PointsTo{e.pm, e.am} {
-		k, err := m.WriteTo(bw)
+	k, err := writeRows(bw, e.pm, len(e.pmt))
+	written += k
+	if err != nil {
+		return written, err
+	}
+	k, err = writeRows(bw, e.am, len(e.am))
+	written += k
+	if err != nil {
+		return written, err
+	}
+	return written, bw.Flush()
+}
+
+// writeRows frames a row matrix exactly as a PTM1 points-to matrix: the
+// matrix header, then every row in bitmap's delta-varint coding.
+func writeRows(w io.Writer, rows []*bitmap.Sparse, cols int) (int64, error) {
+	written, err := matrix.WriteHeader(w, len(rows), cols)
+	if err != nil {
+		return written, err
+	}
+	for _, row := range rows {
+		k, err := row.WriteTo(w)
 		written += k
 		if err != nil {
 			return written, err
 		}
 	}
-	return written, bw.Flush()
+	return written, nil
+}
+
+// readRows reads a row matrix written by writeRows, applying the checks
+// matrix.Read does: bounded dimensions, allocation that grows with the
+// input rather than with the header's claims, and no member outside the
+// declared columns.
+func readRows(br *bufio.Reader) (rows []*bitmap.Sparse, cols int, err error) {
+	n, cols, err := matrix.ReadHeader(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	rows = make([]*bitmap.Sparse, 0, safeio.Cap(n))
+	for i := 0; i < n; i++ {
+		row := bitmap.New()
+		if err := row.ReadFrom(br); err != nil {
+			return nil, 0, fmt.Errorf("matrix: row %d: %w", i, err)
+		}
+		if max := row.Max(); max >= cols {
+			return nil, 0, fmt.Errorf("matrix: row %d: object %d out of range [0,%d)", i, max, cols)
+		}
+		rows = append(rows, row)
+	}
+	return rows, cols, nil
 }
 
 // EncodedSize returns the BitP file size in bytes without real I/O.
@@ -269,10 +346,11 @@ func Load(r io.Reader) (*Encoding, error) {
 		}
 		e.objClassOf = append(e.objClassOf, c)
 	}
-	if e.pm, err = matrix.Read(br); err != nil {
+	var pmCols, amCols int
+	if e.pm, pmCols, err = readRows(br); err != nil {
 		return nil, fmt.Errorf("bitenc: PM: %w", err)
 	}
-	if e.am, err = matrix.Read(br); err != nil {
+	if e.am, amCols, err = readRows(br); err != nil {
 		return nil, fmt.Errorf("bitenc: AM: %w", err)
 	}
 	// Encode numbers classes densely, so the class matrices must agree
@@ -290,15 +368,15 @@ func Load(r io.Reader) (*Encoding, error) {
 			nObj = c + 1
 		}
 	}
-	if e.pm.NumPointers != nPtr || e.pm.NumObjects != nObj {
+	if len(e.pm) != nPtr || pmCols != nObj {
 		return nil, fmt.Errorf("bitenc: class PM is %d×%d but class maps define %d×%d classes",
-			e.pm.NumPointers, e.pm.NumObjects, nPtr, nObj)
+			len(e.pm), pmCols, nPtr, nObj)
 	}
-	if e.am.NumPointers != nPtr || e.am.NumObjects != nPtr {
+	if len(e.am) != nPtr || amCols != nPtr {
 		return nil, fmt.Errorf("bitenc: AM is %d×%d, want %d×%d over pointer classes",
-			e.am.NumPointers, e.am.NumObjects, nPtr, nPtr)
+			len(e.am), amCols, nPtr, nPtr)
 	}
-	e.pmt = e.pm.Transpose()
+	e.pmt = transpose(e.pm, nObj)
 	e.buildMembers()
 	return e, nil
 }

@@ -3,9 +3,11 @@ package bitenc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -97,11 +99,11 @@ func TestEquivalenceCompression(t *testing.T) {
 		}
 	}
 	e := Encode(pm)
-	if e.pm.NumPointers != 2 {
-		t.Fatalf("class PM has %d rows, want 2", e.pm.NumPointers)
+	if len(e.pm) != 2 {
+		t.Fatalf("class PM has %d rows, want 2", len(e.pm))
 	}
-	if e.pm.NumObjects != 2 { // objects merge pairwise too
-		t.Fatalf("class PM has %d columns, want 2", e.pm.NumObjects)
+	if len(e.pmt) != 2 { // objects merge pairwise too
+		t.Fatalf("class PM has %d columns, want 2", len(e.pmt))
 	}
 	if !matches(e, pm) {
 		t.Fatal("compressed encoding wrong")
@@ -139,6 +141,16 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		if _, err := Load(bytes.NewReader(c)); err == nil {
 			t.Errorf("Load accepted %q", c)
 		}
+	}
+	// A hand-built 1×1 file loads; the same file with a PM member past the
+	// declared columns must be rejected, as matrix.Read rejects it.
+	const oneByOne = "BIT1\x01\x01\x01\x00\x00PTM1\x01\x01\x01%cPTM1\x01\x01\x01\x00"
+	if _, err := Load(strings.NewReader(fmt.Sprintf(oneByOne, 0))); err != nil {
+		t.Fatalf("hand-built 1×1 file rejected: %v", err)
+	}
+	if _, err := Load(strings.NewReader(fmt.Sprintf(oneByOne, 1))); err == nil ||
+		!strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("PM member past the columns: err = %v, want out of range", err)
 	}
 	// Any strict prefix of a valid file must fail.
 	pm := matrix.New(3, 2)

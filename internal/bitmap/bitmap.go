@@ -413,8 +413,8 @@ func (s *Sparse) Max() int {
 // bucketing equal sets (used by equivalence-class detection). It walks the
 // blocks directly — no member slice, no closures — so hashing a row never
 // allocates, which matters when equivalence-class detection hashes every
-// matrix row. internal/bitset replicates this scheme exactly so both
-// substrates hash identical contents identically.
+// matrix row. internal/bitset replicates this scheme exactly, so a
+// bitset.Set and a Sparse with the same members hash identically.
 func (s *Sparse) Hash() uint64 {
 	const (
 		offset = 1469598103934665603

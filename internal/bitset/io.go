@@ -8,12 +8,12 @@ import (
 
 // Row serialization uses the exact delta-varint coding of internal/bitmap's
 // io.go — varint member count, then each member as a gap from the previous
-// one — so a matrix persisted through this package is byte-identical to one
-// persisted through the bitmap baseline, whatever the substrate.
+// one — so a set persisted through this package is byte-identical to the
+// same members persisted through the bitmap baseline.
 
 // Write writes s to w as a varint count followed by delta-varint members,
 // returning the number of bytes written.
-func Write(w io.Writer, s Set) (int64, error) {
+func Write(w io.Writer, s *Set) (int64, error) {
 	var buf [binary.MaxVarintLen64]byte
 	var written int64
 	put := func(v uint64) error {
@@ -42,44 +42,18 @@ func Write(w io.Writer, s Set) (int64, error) {
 // It is far above any plausible matrix dimension.
 const maxBit = 1 << 32
 
-// Read reads one serialized set from r into a fresh set of the default
-// substrate.
-func Read(r io.ByteReader) (Set, error) {
+// Read reads one serialized set from r. The gap stream decodes straight
+// into the sorted member array in a single allocation (the members arrive
+// ascending by construction), then promotes once at the end if the result
+// is dense — skipping the incremental growth and promotion copies Set would
+// do per member. The preallocation is capped so a corrupt count can't
+// reserve gigabytes before the stream runs dry.
+func Read(r io.ByteReader) (*Set, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("bitset: reading count: %w", err)
 	}
-	if Default() == FlatSubstrate {
-		return readFlat(r, n)
-	}
-	s := New()
-	cur := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		gap, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("bitset: reading member %d/%d: %w", i, n, err)
-		}
-		if gap >= maxBit || cur+gap >= maxBit {
-			return nil, fmt.Errorf("bitset: implausible member index %d (gap %d at member %d/%d)", cur+gap, gap, i, n)
-		}
-		cur += gap
-		s.Set(int(cur))
-	}
-	return s, nil
-}
-
-// readFlat decodes the gap stream straight into a Flat's sorted array in a
-// single exactly-sized allocation (the members arrive ascending by
-// construction), then promotes once at the end if the result is dense —
-// skipping the incremental growth and promotion copies Set would do per
-// member. The preallocation is capped so a corrupt count can't reserve
-// gigabytes before the stream runs dry.
-func readFlat(r io.ByteReader, n uint64) (Set, error) {
-	capHint := n
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	f := &Flat{sparse: make([]uint32, 0, capHint)}
+	f := &Set{sparse: make([]uint32, 0, min(n, 1<<20))}
 	cur := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		gap, err := binary.ReadUvarint(r)
@@ -103,15 +77,4 @@ func readFlat(r io.ByteReader, n uint64) (Set, error) {
 		}
 	}
 	return f, nil
-}
-
-type countingWriter struct{}
-
-func (cw *countingWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// EncodedSize returns the number of bytes Write would emit, without
-// performing any I/O.
-func EncodedSize(s Set) int64 {
-	n, _ := Write(&countingWriter{}, s)
-	return n
 }

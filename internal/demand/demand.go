@@ -23,7 +23,7 @@ type Oracle struct {
 }
 
 type cacheEntry struct {
-	row     bitset.Set
+	row     *bitset.Set
 	aliases []int
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"pestrie/internal/anders"
-	"pestrie/internal/bitset"
 	"pestrie/internal/ir"
 	"pestrie/internal/par"
 )
@@ -45,18 +44,9 @@ type AndersBenchRow struct {
 
 	ConstraintsPerSec float64 `json:"constraints_per_sec"` // at -jN
 
-	// Substrate columns: one extra serial solve with the linked paper
-	// baseline forced, against the flat hybrid the engine now defaults to.
-	// The wave-propagation loop is dominated by Or/AndNot/Copy over
-	// points-to sets, so this isolates the bit-substrate contribution.
-	SolveLinkedNS    int64   `json:"solve_linked_ns"`
-	SubstrateSpeedup float64 `json:"substrate_speedup"` // linked vs flat, serial
-
 	// MatrixIdentical confirms the -j1, -jN, and no-HVN runs produced the
-	// same matrix and name tables; SubstrateIdentical does the same for the
-	// linked-substrate run. The harness panics if they ever differ.
-	MatrixIdentical    bool `json:"matrix_identical"`
-	SubstrateIdentical bool `json:"substrate_identical"`
+	// same matrix and name tables. The harness panics if they ever differ.
+	MatrixIdentical bool `json:"matrix_identical"`
 }
 
 // andersPresets resolves opts.Presets against the program presets,
@@ -116,22 +106,6 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 	parallel, parallelNS := solve(anders.Options{Workers: workers})
 	nohvn, nohvnNS := solve(anders.Options{Workers: 1, DisableHVN: true})
 
-	// Substrate pair: measured back to back after the runs above have
-	// warmed the process, best of two per substrate, so neither side is
-	// billed for cold caches or lazy runtime initialisation.
-	prevSub := bitset.Default()
-	bitset.Use(bitset.FlatSubstrate)
-	_, flatNS := solve(anders.Options{Workers: 1})
-	if _, ns := solve(anders.Options{Workers: 1}); ns < flatNS {
-		flatNS = ns
-	}
-	bitset.Use(bitset.LinkedSubstrate)
-	linked, linkedNS := solve(anders.Options{Workers: 1})
-	if _, ns := solve(anders.Options{Workers: 1}); ns < linkedNS {
-		linkedNS = ns
-	}
-	bitset.Use(prevSub)
-
 	st := serial.Stats
 	row.Vars = st.Vars
 	row.Objects = st.Objects
@@ -149,16 +123,9 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 		row.ConstraintsPerSec = float64(st.Constraints) / (float64(parallelNS) / 1e9)
 	}
 
-	row.SolveLinkedNS = linkedNS
-	row.SubstrateSpeedup = nsRatio(linkedNS, flatNS)
-
 	row.MatrixIdentical = sameAnalysis(serial, parallel) && sameAnalysis(serial, nohvn)
 	if !row.MatrixIdentical {
 		panic(fmt.Sprintf("%s: -j1, -j%d, and no-HVN results differ", p.Name, row.Workers))
-	}
-	row.SubstrateIdentical = sameAnalysis(serial, linked)
-	if !row.SubstrateIdentical {
-		panic(fmt.Sprintf("%s: flat and linked substrates produced different results", p.Name))
 	}
 	return row
 }
@@ -174,16 +141,15 @@ func RenderAndersBench(rows []AndersBenchRow) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "Anders bench: constraint solving, -j1 vs -jN and HVN ablation (GOMAXPROCS=%d)\n",
 		runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-14s %4s | %8s %7s %6s | %10s %10s %7s | %10s %7s | %10s %7s | %11s | %s\n",
+	fmt.Fprintf(&b, "%-14s %4s | %8s %7s %6s | %10s %10s %7s | %10s %7s | %11s | %s\n",
 		"preset", "j", "cons", "hvn", "cyc",
-		"solve-j1", "solve-jN", "speedup", "no-hvn", "hvn×", "linked", "sub×", "cons/s", "identical")
+		"solve-j1", "solve-jN", "speedup", "no-hvn", "hvn×", "cons/s", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %4d | %8d %7d %6d | %8.1fms %8.1fms %6.2f× | %8.1fms %6.2f× | %8.1fms %6.2f× | %11.0f | %v\n",
+		fmt.Fprintf(&b, "%-14s %4d | %8d %7d %6d | %8.1fms %8.1fms %6.2f× | %8.1fms %6.2f× | %11.0f | %v\n",
 			r.Name, r.Workers, r.Constraints, r.HVNMerged, r.CycleMerged,
 			float64(r.SolveSerialNS)/1e6, float64(r.SolveParallelNS)/1e6, r.ParallelSpeedup,
 			float64(r.SolveNoHVNNS)/1e6, r.HVNSpeedup,
-			float64(r.SolveLinkedNS)/1e6, r.SubstrateSpeedup,
-			r.ConstraintsPerSec, r.MatrixIdentical && r.SubstrateIdentical)
+			r.ConstraintsPerSec, r.MatrixIdentical)
 	}
 	return b.String()
 }

@@ -19,26 +19,54 @@ import (
 //	uvarint numPointers
 //	uvarint numObjects
 //	numPointers × delta-varint set rows (see bitset.Write / bitmap.WriteTo)
+//
+// The same framing carries the BitP baseline's class matrices (WriteHeader
+// and ReadHeader).
 
 const matrixMagic = "PTM1"
+
+// WriteHeader writes the PTM1 magic and dimensions that precede the rows
+// of a matrix of the given shape, returning the number of bytes written.
+// Together with ReadHeader it frames any row-matrix in PTM1, including the
+// BitP baseline's linked-bitmap matrices.
+func WriteHeader(w io.Writer, rows, cols int) (int64, error) {
+	buf := binary.AppendUvarint([]byte(matrixMagic), uint64(rows))
+	buf = binary.AppendUvarint(buf, uint64(cols))
+	n, err := w.Write(buf)
+	return int64(n), err
+}
+
+// ReadHeader reads and validates a PTM1 header written by WriteHeader,
+// rejecting dimensions no real matrix has.
+func ReadHeader(br *bufio.Reader) (rows, cols int, err error) {
+	magic := make([]byte, len(matrixMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return 0, 0, fmt.Errorf("matrix: reading magic: %w", err)
+	}
+	if string(magic) != matrixMagic {
+		return 0, 0, fmt.Errorf("matrix: bad magic %q", magic)
+	}
+	np, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, 0, fmt.Errorf("matrix: reading pointer count: %w", err)
+	}
+	no, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, 0, fmt.Errorf("matrix: reading object count: %w", err)
+	}
+	const limit = 1 << 28
+	if np > limit || no > limit {
+		return 0, 0, fmt.Errorf("matrix: implausible dimensions %d×%d", np, no)
+	}
+	return int(np), int(no), nil
+}
 
 // WriteTo serializes the matrix. It returns the number of bytes written.
 func (pm *PointsTo) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
-	var written int64
-	n, err := bw.WriteString(matrixMagic)
-	written += int64(n)
+	written, err := WriteHeader(bw, pm.NumPointers, pm.NumObjects)
 	if err != nil {
 		return written, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	for _, v := range []uint64{uint64(pm.NumPointers), uint64(pm.NumObjects)} {
-		k := binary.PutUvarint(buf[:], v)
-		n, err := bw.Write(buf[:k])
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
 	}
 	for p := 0; p < pm.NumPointers; p++ {
 		n, err := bitset.Write(bw, pm.Row(p))
@@ -113,7 +141,7 @@ func ReadRaw(r io.Reader) (*PointsTo, error) {
 	if np > limit || no > limit {
 		return nil, fmt.Errorf("matrix: implausible raw dimensions %d×%d", np, no)
 	}
-	rows := make([]bitset.Set, 0, safeio.Cap(int(np)))
+	rows := make([]*bitset.Set, 0, safeio.Cap(int(np)))
 	for p := 0; p < int(np); p++ {
 		count, err := get()
 		if err != nil {
@@ -122,7 +150,7 @@ func ReadRaw(r io.Reader) (*PointsTo, error) {
 		if count > no {
 			return nil, fmt.Errorf("matrix: raw row %d count %d exceeds objects", p, count)
 		}
-		var row bitset.Set
+		var row *bitset.Set
 		for i := uint32(0); i < count; i++ {
 			o, err := get()
 			if err != nil {
@@ -149,40 +177,25 @@ func Read(r io.Reader) (*PointsTo, error) {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	magic := make([]byte, len(matrixMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("matrix: reading magic: %w", err)
-	}
-	if string(magic) != matrixMagic {
-		return nil, fmt.Errorf("matrix: bad magic %q", magic)
-	}
-	np, err := binary.ReadUvarint(br)
+	np, no, err := ReadHeader(br)
 	if err != nil {
-		return nil, fmt.Errorf("matrix: reading pointer count: %w", err)
-	}
-	no, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("matrix: reading object count: %w", err)
-	}
-	const limit = 1 << 28
-	if np > limit || no > limit {
-		return nil, fmt.Errorf("matrix: implausible dimensions %d×%d", np, no)
+		return nil, err
 	}
 	// Rows are appended as they decode rather than preallocated from the
 	// untrusted header count: every row costs at least one input byte, so
 	// allocation stays proportional to the actual file size.
-	rows := make([]bitset.Set, 0, safeio.Cap(int(np)))
-	for p := 0; p < int(np); p++ {
-		row, err := readRow(br, int(no))
+	rows := make([]*bitset.Set, 0, safeio.Cap(np))
+	for p := 0; p < np; p++ {
+		row, err := readRow(br, no)
 		if err != nil {
 			return nil, fmt.Errorf("matrix: row %d: %w", p, err)
 		}
 		rows = append(rows, row)
 	}
-	return &PointsTo{NumPointers: int(np), NumObjects: int(no), rows: rows}, nil
+	return &PointsTo{NumPointers: np, NumObjects: no, rows: rows}, nil
 }
 
-func readRow(br *bufio.Reader, numObjects int) (bitset.Set, error) {
+func readRow(br *bufio.Reader, numObjects int) (*bitset.Set, error) {
 	s, err := bitset.Read(br)
 	if err != nil {
 		return nil, err

@@ -20,7 +20,7 @@ import (
 type PointsTo struct {
 	NumPointers int
 	NumObjects  int
-	rows        []bitset.Set
+	rows        []*bitset.Set
 }
 
 // New returns an empty points-to matrix of the given dimensions.
@@ -31,7 +31,7 @@ func New(pointers, objects int) *PointsTo {
 	return &PointsTo{
 		NumPointers: pointers,
 		NumObjects:  objects,
-		rows:        make([]bitset.Set, pointers),
+		rows:        make([]*bitset.Set, pointers),
 	}
 }
 
@@ -66,11 +66,11 @@ func (pm *PointsTo) Has(p, o int) bool {
 	return pm.rows[p].Test(o)
 }
 
-var emptyRow bitset.Set = bitset.NewFlat()
+var emptyRow = bitset.New()
 
 // Row returns the points-to set of pointer p. The returned set must not be
 // mutated; it is never nil.
-func (pm *PointsTo) Row(p int) bitset.Set {
+func (pm *PointsTo) Row(p int) *bitset.Set {
 	if p < 0 || p >= pm.NumPointers || pm.rows[p] == nil {
 		return emptyRow
 	}
@@ -78,7 +78,7 @@ func (pm *PointsTo) Row(p int) bitset.Set {
 }
 
 // SetRow installs row as the points-to set of pointer p, taking ownership.
-func (pm *PointsTo) SetRow(p int, row bitset.Set) {
+func (pm *PointsTo) SetRow(p int, row *bitset.Set) {
 	if p < 0 || p >= pm.NumPointers {
 		panic(fmt.Sprintf("matrix: pointer %d out of range [0,%d)", p, pm.NumPointers))
 	}
@@ -133,8 +133,9 @@ func (pm *PointsTo) Transpose() *PointsTo { return pm.TransposeWith(1) }
 // selects GOMAXPROCS, 1 is sequential). The result is identical to the
 // sequential transpose for any worker count: workers build partial
 // transposes over disjoint pointer chunks, then disjoint object shards
-// merge them in chunk order, and both bitset substrates compare sets
-// canonically, so the merged rows are equal no matter how they were built.
+// merge them in chunk order, and a set's contents do not depend on the
+// order its members were added, so the merged rows are equal no matter how
+// they were built.
 func (pm *PointsTo) TransposeWith(workers int) *PointsTo {
 	workers = par.Workers(workers)
 	if workers <= 1 || pm.NumPointers == 0 {
@@ -170,11 +171,11 @@ func (pm *PointsTo) TransposeWith(workers int) *PointsTo {
 	})
 	// Phase 2: merge per object shard. Pointer IDs in chunk w all precede
 	// those in chunk w+1, but the union is a set either way — Or yields the
-	// same canonical block list regardless of merge order.
+	// same set regardless of merge order.
 	out := New(pm.NumObjects, pm.NumPointers)
 	par.Chunks(pm.NumObjects, workers, func(lo, hi int) {
 		for o := lo; o < hi; o++ {
-			var row bitset.Set
+			var row *bitset.Set
 			for _, part := range parts {
 				pr := part.rows[o]
 				if pr == nil || pr.Empty() {
@@ -323,7 +324,7 @@ func (pm *PointsTo) ObjectEquivalenceClasses() (classOf []int, numClasses int) {
 	return classesOf(pmt.rows, pmt.NumPointers, 1)
 }
 
-func classesOf(rows []bitset.Set, n, workers int) ([]int, int) {
+func classesOf(rows []*bitset.Set, n, workers int) ([]int, int) {
 	// Hashing scans every block of every row — the dominant cost — and is
 	// side-effect free, so it parallelizes cleanly; the bucket walk below
 	// keeps the sequential first-seen class numbering.

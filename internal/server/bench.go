@@ -275,41 +275,59 @@ func FetchCoordStats(ctx context.Context, baseURL string) (*CoordStats, error) {
 	return fetchJSON[CoordStats](ctx, http.DefaultClient, baseURL+"/debug/coord", nil, true)
 }
 
+// send posts a /batch request body and reads the reply with scanBatch.
 func send(ctx context.Context, client *http.Client, url string, body []byte) (*BatchResponse, error) {
-	return fetchJSON[BatchResponse](ctx, client, url, body, false)
+	var out *BatchResponse
+	_, err := fetch(ctx, client, url, body, false, func(r io.Reader) error {
+		raw, err := io.ReadAll(r)
+		if err == nil {
+			out, err = scanBatch(raw)
+		}
+		return err
+	})
+	return out, err
 }
 
-// fetchJSON sends one request — a GET, or a JSON POST of body when it is
-// non-nil — and decodes a 200 reply as T. Any other status is an error
-// quoting the head of the reply, except a 404 when missingOK is set,
-// which yields (nil, nil).
+// fetchJSON fetches url as fetch does and decodes a 200 reply as T; it
+// returns (nil, nil) for a 404 when missingOK is set.
 func fetchJSON[T any](ctx context.Context, client *http.Client, url string, body []byte, missingOK bool) (*T, error) {
+	var out T
+	found, err := fetch(ctx, client, url, body, missingOK, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(&out)
+	})
+	if err != nil || !found {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// fetch sends one request — a GET, or a JSON POST of body when it is
+// non-nil — and hands the body of a 200 reply to read. Any other status is
+// an error quoting the head of the reply, except a 404 when missingOK is
+// set, which reports found=false.
+func fetch(ctx context.Context, client *http.Client, url string, body []byte, missingOK bool, read func(io.Reader) error) (found bool, err error) {
 	method, rd := http.MethodGet, io.Reader(nil)
 	if body != nil {
 		method, rd = http.MethodPost, bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	defer resp.Body.Close()
 	if missingOK && resp.StatusCode == http.StatusNotFound {
-		return nil, nil
+		return false, nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
+		return false, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	var out T
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return true, read(resp.Body)
 }

@@ -24,6 +24,10 @@ type answerer interface {
 	answer(ctx context.Context, backend string, queries []Query, single bool) (BatchResponse, error)
 }
 
+// isProfile reports a request for the pprof endpoints, which run for as
+// long as the profile they collect.
+func isProfile(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/debug/pprof/") }
+
 // errUnnamed reports a request without a backend name while several
 // backends are catalogued.
 var errUnnamed = errors.New("request must name one")
@@ -62,7 +66,7 @@ func (h *surface) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Profile collection legitimately runs for ?seconds=30; exempt
 		// it from the query deadline.
-		if strings.HasPrefix(r.URL.Path, "/debug/pprof/") {
+		if isProfile(r) {
 			mux.ServeHTTP(w, r)
 			return
 		}
@@ -72,6 +76,8 @@ func (h *surface) Handler() http.Handler {
 	})
 }
 
+// writeJSON writes the debug and admin payloads and error bodies; query
+// answers are written by the codec (codec.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -83,17 +89,17 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decode reads a request body of at most maxBody bytes into v. On failure
-// it writes the reply itself — 413 for an oversized body, 400 for
-// malformed JSON — and returns false.
-func (h *surface) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.maxBody)).Decode(v)
+// decode reads a request body of at most maxBody bytes with read. On
+// failure it writes the reply itself — 413 for an oversized body or batch,
+// 400 for malformed JSON — and returns false.
+func (h *surface) decode(w http.ResponseWriter, r *http.Request, read func(*json.Decoder) error) bool {
+	err := read(json.NewDecoder(http.MaxBytesReader(w, r.Body, h.maxBody)))
 	if err == nil {
 		return true
 	}
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	if errors.As(err, &tooBig) || errors.Is(err, errTooMany) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	writeError(w, status, fmt.Errorf("decoding request: %w", err))
@@ -136,7 +142,7 @@ type BatchResponse struct {
 
 func (h *surface) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !h.decode(w, r, &req) {
+	if !h.decode(w, r, func(d *json.Decoder) error { return d.Decode(&req) }) {
 		return
 	}
 	resp, err := h.a.answer(r.Context(), req.Backend, []Query{req.Query}, true)
@@ -145,24 +151,22 @@ func (h *surface) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := resp.Results[0]
+	status := http.StatusOK
 	switch {
 	case len(resp.Partial) > 0:
-		writeJSON(w, http.StatusBadGateway, res)
+		status = http.StatusBadGateway
 	case res.Err != "":
-		writeJSON(w, http.StatusBadRequest, res)
-	default:
-		writeJSON(w, http.StatusOK, res)
+		status = http.StatusBadRequest
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// A failed write means the client has gone; there is no one to tell.
+	_, _ = w.Write(append(appendResult(nil, res), '\n'))
 }
 
 func (h *surface) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	if len(req.Queries) > h.maxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch of %d exceeds limit %d", len(req.Queries), h.maxBatch))
+	if !h.decode(w, r, func(d *json.Decoder) error { return readBatch(d, h.maxBatch, &req) }) {
 		return
 	}
 	resp, err := h.a.answer(r.Context(), req.Backend, req.Queries, false)
@@ -170,15 +174,35 @@ func (h *surface) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, resolveStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = writeBatch(w, resp) // as in handleQuery
 }
 
 // Serve accepts connections on l until Shutdown. It returns
 // http.ErrServerClosed after a clean shutdown, like net/http.
+//
+// Connection deadlines follow from the request timeout t, so a slow or
+// stalled client cannot hold a connection: a request's header and body
+// must arrive within t of its first byte, its reply must be written within
+// 2t of the handler starting (t for the context deadline, t to drain), and
+// a keep-alive connection idle for 2t is closed. The reply deadline is set
+// per request rather than as http.Server.WriteTimeout, which would also cut
+// off CPU profiles that run for ?seconds=N.
 func (h *surface) Serve(l net.Listener) error {
+	handler := h.Handler()
 	hs := &http.Server{
-		Handler:           h.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			deadline := time.Time{}
+			if !isProfile(r) {
+				deadline = time.Now().Add(2 * h.timeout)
+			}
+			_ = http.NewResponseController(w).SetWriteDeadline(deadline) // supported by every net/http connection
+			handler.ServeHTTP(w, r)
+		}),
+		ReadHeaderTimeout: min(5*time.Second, h.timeout),
+		ReadTimeout:       h.timeout,
+		IdleTimeout:       2 * h.timeout,
 	}
 	h.httpMu.Lock()
 	h.httpS = hs

@@ -27,10 +27,13 @@
 // listener lifecycle exist once.
 //
 // Answers are produced by calling the underlying index directly and
-// marshaling its return value verbatim, so a server response is
-// byte-identical to what an in-process caller would encode. The Index is
-// immutable after Load, which is what makes the whole service a pile of
-// lock-free concurrent readers (pinned by the package's -race tests).
+// appending its return value, as JSON, verbatim: a server response is
+// byte-identical to what encoding/json writes for the same answers, but
+// /batch and /query replies are written by the package's own append codec
+// (codec.go) rather than by encoding/json, which would re-validate every
+// pre-rendered ID list. The Index is immutable after Load, which is what
+// makes the whole service a pile of lock-free concurrent readers (pinned
+// by the package's -race tests).
 package server
 
 import (
@@ -104,10 +107,11 @@ type Server struct {
 	stats map[string]*backend
 }
 
-// backend holds one backend's counters: one entry per op plus "batch",
-// fixed at creation so the hot path is atomics only.
+// backend holds one backend's counters, fixed at creation so the hot path
+// is atomics only: one entry per op in Ops, and the batches.
 type backend struct {
-	stats map[string]*opStats
+	ops   map[string]*opStats
+	batch opStats
 }
 
 type opStats struct {
@@ -147,9 +151,9 @@ func (s *Server) statsFor(name string) *backend {
 	if b, ok := s.stats[name]; ok {
 		return b
 	}
-	b = &backend{stats: make(map[string]*opStats)}
-	for _, op := range append(append([]string(nil), Ops...), "batch") {
-		b.stats[op] = &opStats{}
+	b = &backend{ops: make(map[string]*opStats, len(Ops))}
+	for _, op := range Ops {
+		b.ops[op] = &opStats{}
 	}
 	s.stats[name] = b
 	return b
@@ -186,7 +190,7 @@ func (s *Server) answer(ctx context.Context, backend string, queries []Query, si
 	}
 	start := time.Now()
 	results, unanswered := s.runBatch(ctx, b, h.Index(), queries)
-	st := b.stats["batch"]
+	st := &b.batch
 	st.count.Add(1)
 	st.lat.Observe(time.Since(start))
 	if unanswered > 0 {
@@ -219,13 +223,14 @@ type Result struct {
 
 // exec answers one query against the generation a request pinned — a
 // plain decoded base, or a delta-chain snapshot whose answers are frozen
-// at that generation's stamp — recording stats on b.
+// at that generation's stamp — recording stats on b. The op's histogram
+// times validation and the index call, not the encoding of the answer.
 func (b *backend) exec(ix delta.Index, q Query) Result {
 	// Start the clock before validation: error responses cost real time
 	// too, and a histogram that only sees successes reports flattering
 	// latencies the moment clients start sending malformed queries.
 	start := time.Now()
-	st, ok := b.stats[q.Op]
+	st, ok := b.ops[q.Op]
 	if !ok {
 		return Result{Err: fmt.Sprintf("unknown op %q", q.Op)}
 	}
@@ -239,6 +244,7 @@ func (b *backend) exec(ix delta.Index, q Query) Result {
 		return *v, nil
 	}
 	var res Result
+	var ids []int
 	var err error
 	switch q.Op {
 	case "isalias":
@@ -252,37 +258,35 @@ func (b *backend) exec(ix delta.Index, q Query) Result {
 	case "aliases":
 		var p int
 		if p, err = need("p", q.P, ix.Pointers()); err == nil {
-			res.IDs, err = marshalIDs(ix.ListAliases(p))
+			ids = ix.ListAliases(p)
 		}
 	case "pointsto":
 		var p int
 		if p, err = need("p", q.P, ix.Pointers()); err == nil {
-			res.IDs, err = marshalIDs(ix.ListPointsTo(p))
+			ids = ix.ListPointsTo(p)
 		}
 	case "pointedby":
 		var o int
 		if o, err = need("o", q.O, ix.Objects()); err == nil {
-			res.IDs, err = marshalIDs(ix.ListPointedBy(o))
+			ids = ix.ListPointedBy(o)
 		}
 	}
+	st.lat.Observe(time.Since(start))
 	if err != nil {
 		st.errors.Add(1)
-		st.lat.Observe(time.Since(start))
 		return Result{Err: err.Error()}
 	}
 	st.count.Add(1)
-	st.lat.Observe(time.Since(start))
-	return res
-}
-
-// marshalIDs encodes the index's return value verbatim: nil stays null,
-// empty stays [], order is untouched.
-func marshalIDs(ids []int) (json.RawMessage, error) {
-	raw, err := json.Marshal(ids)
-	if err != nil {
-		return nil, err
+	if res.Alias == nil {
+		// No ID has more digits than the larger ID space's size, so the
+		// list fits without regrowing (null and brackets need 4 bytes).
+		width := 2 // one digit and a comma
+		for n := max(ix.Pointers(), ix.Objects()); n >= 10; n /= 10 {
+			width++
+		}
+		res.IDs = appendIDs(make([]byte, 0, 4+width*len(ids)), ids)
 	}
-	return json.RawMessage(raw), nil
+	return res
 }
 
 // runBatch answers queries with the worker pool, preserving order. It
@@ -412,7 +416,17 @@ type OpStats struct {
 	Latency  perf.HistogramSnapshot `json:"latency"`
 }
 
-// Stats is the /debug/stats payload.
+func (st *opStats) snapshot() OpStats {
+	return OpStats{
+		Count:    st.count.Load(),
+		Errors:   st.errors.Load(),
+		Canceled: st.canceled.Load(),
+		Latency:  st.lat.Snapshot(),
+	}
+}
+
+// Stats is the /debug/stats payload. Each backend lists its ops and
+// "batch", the whole-batch counters.
 type Stats struct {
 	UptimeMS int64                         `json:"uptime_ms"`
 	Backends map[string]map[string]OpStats `json:"backends"`
@@ -427,15 +441,11 @@ func (s *Server) Stats() Stats {
 		Backends: make(map[string]map[string]OpStats, len(s.stats)),
 	}
 	for name, b := range s.stats {
-		ops := make(map[string]OpStats, len(b.stats))
-		for op, st := range b.stats {
-			ops[op] = OpStats{
-				Count:    st.count.Load(),
-				Errors:   st.errors.Load(),
-				Canceled: st.canceled.Load(),
-				Latency:  st.lat.Snapshot(),
-			}
+		ops := make(map[string]OpStats, len(b.ops)+1)
+		for op, st := range b.ops {
+			ops[op] = st.snapshot()
 		}
+		ops["batch"] = b.batch.snapshot()
 		out.Backends[name] = ops
 	}
 	return out
